@@ -147,10 +147,11 @@ class ChevalleyAlgebra:
         combination of the simple coroots H_j."""
         labels = tuple(labels)
         n = self.system.rank
-        inv = self.system._cartan_inv
+        num, den = self.system._num, self.system.den
         # alpha_i(sum_j t_j H_j) = sum_j t_j cartan[j][i], so t = C^-T labels
         coeffs = {
-            j: sum(inv[i][j] * labels[i] for i in range(n)) for j in range(n)
+            j: Fraction(sum(num[i][j] * labels[i] for i in range(n)), den)
+            for j in range(n)
         }
         return AlgebraElement(self, coeffs)
 

@@ -30,13 +30,11 @@ def star(lam: Weight) -> Weight:
 def dominant_interval(system: RootSystem, lo: Weight, hi: Weight) -> list:
     """All dominant weights delta with lo <= delta <= hi, found by
     walking positive-root steps down from hi."""
-    lo_rc = lo.root_coords()
-    hi_rc = hi.root_coords()
-    if any((h - l).denominator != 1 or h < l for l, h in zip(lo_rc, hi_rc)):
+    start = system.lattice_coords([h - l for l, h in zip(lo.fc, hi.fc)])
+    if start is None or any(x < 0 for x in start):
         return []
     root_rcs = [r.rc for r in system.positive_roots]
     root_fcs = [r.fc for r in system.positive_roots]
-    start = tuple(int(h - l) for l, h in zip(lo_rc, hi_rc))
     seen = {start: hi.fc}
     frontier = [(start, hi.fc)]
     while frontier:
@@ -79,7 +77,7 @@ def cht(lam: Weight) -> int:
                     best = cand
         if best is not None:
             longest[rc] = best
-    top = tuple(int(h - l) for l, h in zip(lo.root_coords(), hi.root_coords()))
+    top = system.lattice_coords([h - l for l, h in zip(lo.fc, hi.fc)])
     if top not in longest:
         raise RuntimeError("dominant interval was not chain-connected; bug")
     return longest[top]

@@ -14,7 +14,6 @@ generator matrices in its own coordinates.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_chevalley
@@ -541,13 +540,13 @@ def build_irrep(system: RootSystem, mu: Weight, caps: Caps = DEFAULT_CAPS) -> Ex
         raise ValueError(f"highest weight {mu.fc} is not dominant")
     key = (system.key, mu.fc)
     hit = _IRREP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    dim = weyl_dimension(mu)
+    dim = weyl_dimension(mu) if hit is None else hit.dim
     if dim > caps.module_dim:
         raise CapExceeded(
             f"dim V{mu.fc} = {dim} exceeds the module cap {caps.module_dim}"
         )
+    if hit is not None:
+        return hit
     module = _build_irrep_uncached(system, mu, caps)
     _IRREP_CACHE[key] = module
     return module
@@ -636,9 +635,7 @@ def _build_irrep_uncached(system, mu, caps) -> ExplicitModule:
     k = 1
     while True:
         scaled = system.weight(tuple(k * x for x in theta.fc))
-        gap = scaled - mu
-        rc = gap.root_coords()
-        if all(x.denominator == 1 and x >= 0 for x in rc):
+        if system.dominance_leq(mu, scaled):
             if adjoint.dim**k > caps.ambient_dim:
                 raise CapExceeded(
                     f"adjoint power ambient {adjoint.dim}**{k} exceeds the cap "

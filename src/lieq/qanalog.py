@@ -13,9 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from fractions import Fraction
 
-from .config import DEFAULT_CAPS
 from .qpoly import QPolynomial
 from .rootsystem import Parabolic, RootSystem, Weight, build_root_system
 
@@ -35,10 +33,9 @@ def q_partition(gamma: Weight, parabolic: Parabolic | None = None) -> QPolynomia
     the q^n coefficient counts expressions with exactly n summands.
     Zero polynomial when gamma is outside the Z>=0 span."""
     system = gamma.system
-    rc = gamma.root_coords()
-    if any(x.denominator != 1 or x < 0 for x in rc):
+    rc = system.lattice_coords(gamma.fc)
+    if rc is None or any(x < 0 for x in rc):
         return QPolynomial.zero()
-    rc = tuple(int(x) for x in rc)
     pkey = parabolic.key if parabolic is not None else None
     cache_key = (system.key, pkey, rc)
     hit = _QP_CACHE.get(cache_key)
@@ -75,19 +72,49 @@ def lusztig_q_analog(
     mu: Weight, lam: Weight, parabolic: Parabolic | None = None
 ) -> QPolynomial:
     """Alternating sum over the Weyl group of q_partition(w*mu - lam)
-    for the shifted action.  parabolic=None is the Borel case."""
+    for the shifted action.  parabolic=None is the Borel case.
+
+    The sum runs over the W-orbit of x = (mu + rho)^+, the dominant
+    conjugate, walked from x by simple reflections s_i that raise the
+    length, i.e. at points y with y_i > 0; the depth of y is the length
+    of the w with y = w x.  Such a step lowers the i-th root coordinate
+    of y - rho - lam by y_i, so those coordinates only fall along the
+    walk and a branch can stop at the first negative one.  A singular
+    mu + rho is fixed by a reflection, whose terms cancel in pairs."""
     system = mu.system
+    system.weyl_order()
     if not mu.is_dominant():
         warnings.warn("q-analog requested for a non-dominant highest weight")
     acc = QPolynomial.zero()
-    for w in system.weyl_group():
-        gamma = system.shifted_action(w, mu) - lam
-        rc = gamma.root_coords()
-        if any(x.denominator != 1 or x < 0 for x in rc):
-            continue
-        term = q_partition(gamma, parabolic)
-        if term:
-            acc = acc + term if w.sign > 0 else acc - term
+    shifted = mu + system.rho
+    x = system.dominant_weight_fc(shifted.fc)
+    if 0 in x:
+        return acc
+    # x = v(mu + rho) and w(mu + rho) = (w v^-1) x, so every term carries
+    # sign(v) = (-1)^#{beta > 0 : <mu + rho, beta^vee> < 0} on top
+    flips = sum(system.pair(shifted, root) < 0 for root in system.positive_roots)
+    sign = -1 if flips % 2 else 1
+    rc = system.lattice_coords([a - 1 - b for a, b in zip(x, lam.fc)])
+    if rc is None or any(c < 0 for c in rc):
+        return acc
+    rank = system.rank
+    cols = system._cartan_cols
+    frontier = {x: rc}
+    while frontier:
+        nxt = {}
+        for y, rc in frontier.items():
+            gamma = Weight(system, [a - 1 - b for a, b in zip(y, lam.fc)])
+            term = q_partition(gamma, parabolic)
+            if term:
+                acc = acc + term if sign > 0 else acc - term
+            for i in range(rank):
+                c = y[i]
+                if c > 0 and rc[i] >= c:
+                    step = tuple(a - c * b for a, b in zip(y, cols[i]))
+                    if step not in nxt:
+                        nxt[step] = rc[:i] + (rc[i] - c,) + rc[i + 1:]
+        frontier = nxt
+        sign = -sign
     return acc
 
 
@@ -107,55 +134,56 @@ def weyl_dimension(mu: Weight) -> int:
     return num // den
 
 
-def _dominant_weights_below(system: RootSystem, mu: Weight) -> list:
-    """Dominant weights <= mu in dominance order, via the fact that
-    covers between dominant weights differ by a positive root."""
-    seen = {mu.fc}
-    frontier = [mu]
+def _dominant_weights_below(system: RootSystem, mu_fc) -> list:
+    """Fundamental coordinates of the dominant weights <= mu, ordered by
+    height below mu, via the fact that covers between dominant weights
+    differ by a positive root."""
+    seen = {tuple(0 for _ in mu_fc): mu_fc}  # root coords of mu - delta -> delta
+    frontier = list(seen.items())
     while frontier:
         nxt = []
-        for w in frontier:
+        for gap, fc in frontier:
             for root in system.positive_roots:
-                cand = w - system.weight(root.fc)
-                if cand.fc in seen or not cand.is_dominant():
+                cand = tuple(a - b for a, b in zip(fc, root.fc))
+                cand_gap = tuple(a + b for a, b in zip(gap, root.rc))
+                if cand_gap in seen or any(x < 0 for x in cand):
                     continue
-                if system.dominance_leq(cand, mu):
-                    seen.add(cand.fc)
-                    nxt.append(cand)
+                seen[cand_gap] = cand
+                nxt.append((cand_gap, cand))
         frontier = nxt
-    out = [system.weight(fc) for fc in seen]
-    out.sort(key=lambda w: (system.height_of(mu - w), w.fc))
-    return out
+    return [fc for gap, fc in sorted(seen.items(), key=lambda it: (sum(it[0]), it[1]))]
 
 
 @functools.lru_cache(maxsize=512)
 def _multiplicity_table(system_key, mu_fc) -> dict:
+    """Freudenthal's recursion in integers: with S = 2 * den * (,),
+    m(delta) = 2 * sum m(nu) S(nu, beta) / (S(mu+rho) - S(delta+rho))."""
     system = build_root_system(*system_key)
-    mu = system.weight(mu_fc)
-    dominants = _dominant_weights_below(system, mu)
-    mu_norm = system.norm_sq(mu)
-    shifted_mu_norm = system.norm_sq(mu + system.rho)
-    table: dict = {mu.fc: 1}
-    for delta in dominants:
-        if delta.fc == mu.fc:
-            continue
-        total = Fraction(0)
-        for root in system.positive_roots:
-            beta = system.weight(root.fc)
+    form = system.inner_scaled
+    rho = system.rho.fc
+    mu_norm = form(mu_fc, mu_fc)
+    mu_rho = tuple(a + b for a, b in zip(mu_fc, rho))
+    shifted_mu_norm = form(mu_rho, mu_rho)
+    betas = [(r.fc, form(r.fc, r.fc)) for r in system.positive_roots]
+    table: dict = {mu_fc: 1}
+    for delta in _dominant_weights_below(system, mu_fc)[1:]:
+        delta_norm = form(delta, delta)
+        total = 0
+        for beta, beta_norm in betas:
+            cross = form(delta, beta)
             k = 1
-            while True:
-                nu = delta + k * beta
-                if system.norm_sq(nu) > mu_norm:
-                    break
-                m = table.get(system.dominant_weight_fc(nu.fc), 0)
+            # |delta + k beta|^2 = |delta|^2 + 2k (delta, beta) + k^2 |beta|^2
+            while delta_norm + k * (2 * cross + k * beta_norm) <= mu_norm:
+                nu = tuple(a + k * b for a, b in zip(delta, beta))
+                m = table.get(system.dominant_weight_fc(nu), 0)
                 if m:
-                    total += m * system.inner(nu, beta)
+                    total += m * (cross + k * beta_norm)
                 k += 1
-        denom = shifted_mu_norm - system.norm_sq(delta + system.rho)
-        value = 2 * total / denom
-        if value.denominator != 1:
+        delta_rho = tuple(a + b for a, b in zip(delta, rho))
+        value, rem = divmod(2 * total, shifted_mu_norm - form(delta_rho, delta_rho))
+        if rem:
             raise RuntimeError("Freudenthal recursion gave a non-integer; bug")
-        table[delta.fc] = int(value)
+        table[delta] = value
     return table
 
 

@@ -26,14 +26,6 @@ class QPolynomial:
     def zero(cls) -> "QPolynomial":
         return cls()
 
-    @classmethod
-    def one(cls) -> "QPolynomial":
-        return cls({0: 1})
-
-    @classmethod
-    def q_power(cls, n: int, coeff: int = 1) -> "QPolynomial":
-        return cls({n: coeff})
-
     def __bool__(self):
         return bool(self.coeffs)
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
+from operator import mul
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
 
@@ -71,6 +72,30 @@ def _cartan_and_norms(type_label: str, rank: int):
                  (1, 2): -2, (2, 1): -1}
         return chain([1, 1, 2, 2], bonds)
     raise ValueError(f"no finite root system of type {type_label}{rank}")
+
+
+def _scaled_inverse(matrix):
+    """(den, num) with num = den * matrix^-1 an integer matrix and den the
+    least positive integer that clears its denominators.  Fraction-free
+    Gauss-Jordan (Bareiss): every division is exact, and at the end each
+    diagonal entry is the last pivot d and the right half is d * matrix^-1."""
+    n = len(matrix)
+    aug = [list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
+    for k in range(n):
+        piv = next(r for r in range(k, n) if aug[r][k])
+        aug[k], aug[piv] = aug[piv], aug[k]
+        p = aug[k][k]
+        for r in range(n):
+            if r != k:
+                c = aug[r][k]
+                aug[r] = [(p * x - c * y) // prev for x, y in zip(aug[r], aug[k])]
+        prev = p
+    scaled = [row[n:] for row in aug]
+    g = gcd(prev, *(x for row in scaled for x in row))
+    if prev < 0:
+        g = -g
+    return prev // g, tuple(tuple(x // g for x in row) for row in scaled)
 
 
 def weyl_group_order(type_label: str, rank: int) -> int:
@@ -143,11 +168,12 @@ class Weight:
     __rmul__ = __mul__
 
     def root_coords(self) -> tuple:
-        """Coordinates on the simple roots, as Fractions."""
+        """Coordinates on the simple roots: ints on the root lattice,
+        Fractions off it."""
         return self.system.root_coords(self.fc)
 
     def in_root_lattice(self) -> bool:
-        return all(x.denominator == 1 for x in self.root_coords())
+        return self.system.lattice_coords(self.fc) is not None
 
     def is_dominant(self) -> bool:
         return all(x >= 0 for x in self.fc)
@@ -304,7 +330,13 @@ class RootSystem:
             tuple(self.cartan_matrix[r][i] for r in range(rank)) for i in range(rank)
         )
         self.simple_norms = tuple(norms)
-        self._cartan_inv = self._invert_cartan()
+        # weight arithmetic kernel: den * C^-1 maps fundamental to root
+        # coordinates, and the rows of diag(norms) * num give
+        # 2 * den * (a, b) on fundamental coordinates
+        self.den, self._num = _scaled_inverse(self.cartan_matrix)
+        self._form = tuple(
+            tuple(norm * x for x in row) for norm, row in zip(norms, self._num)
+        )
         self.positive_roots = self._close_positive_roots()
         self._root_by_rc = {r.rc: r for r in self.positive_roots}
         self._weyl_cache: dict = {}
@@ -312,24 +344,6 @@ class RootSystem:
         self.rho = Weight(self, [1] * rank)
 
     # -- construction ------------------------------------------------
-
-    def _invert_cartan(self):
-        n = self.rank
-        aug = [
-            [Fraction(self.cartan_matrix[i][j]) for j in range(n)]
-            + [Fraction(1 if j == i else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            lead = aug[col][col]
-            aug[col] = [x / lead for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    c = aug[r][col]
-                    aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-        return tuple(tuple(row[n:]) for row in aug)
 
     def _fc_of_rc(self, rc):
         return tuple(
@@ -416,27 +430,35 @@ class RootSystem:
     def fundamental_weight(self, i: int) -> Weight:
         return Weight(self, [1 if j == i else 0 for j in range(self.rank)])
 
-    def root_coords(self, fc) -> tuple:
-        return tuple(
-            sum(self._cartan_inv[i][j] * fc[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+    def lattice_coords(self, fc):
+        """Simple-root coordinates of fc as ints, or None when fc is off
+        the root lattice."""
+        den = self.den
+        out = []
+        for row in self._num:
+            q, r = divmod(sum(map(mul, row, fc)), den)
+            if r:
+                return None
+            out.append(q)
+        return tuple(out)
 
-    def root_from_weight(self, weight: Weight) -> Root:
-        """The positive root equal to the given weight; raises otherwise."""
-        rc = weight.root_coords()
-        if all(x.denominator == 1 for x in rc):
-            root = self._root_by_rc.get(tuple(int(x) for x in rc))
-            if root is not None:
-                return root
-        raise ValueError(f"{weight!r} is not a positive root")
+    def root_coords(self, fc) -> tuple:
+        """Simple-root coordinates: ints on the root lattice, Fractions
+        with denominator dividing den off it."""
+        rc = self.lattice_coords(fc)
+        if rc is not None:
+            return rc
+        return tuple(Fraction(sum(map(mul, row, fc)), self.den) for row in self._num)
+
+    def inner_scaled(self, a_fc, b_fc) -> int:
+        """2 * den * (a, b) for weights in fundamental coordinates."""
+        return sum(x * sum(map(mul, row, b_fc)) for x, row in zip(a_fc, self._form))
 
     def root_sign(self, fc) -> int:
         """+1/-1 if fc is a (positive/negative) root, else 0."""
-        rc = self.root_coords(fc)
-        if any(x.denominator != 1 for x in rc):
+        rc = self.lattice_coords(fc)
+        if rc is None:
             return 0
-        rc = tuple(int(x) for x in rc)
         if rc in self._root_by_rc:
             return 1
         if tuple(-x for x in rc) in self._root_by_rc:
@@ -454,11 +476,7 @@ class RootSystem:
 
     def inner(self, a: Weight, b: Weight) -> Fraction:
         """Invariant inner product (short simple roots have norm 1)."""
-        rc_b = self.root_coords(b.fc)
-        return sum(
-            Fraction(self.simple_norms[j], 2) * a.fc[j] * rc_b[j]
-            for j in range(self.rank)
-        )
+        return Fraction(self.inner_scaled(a.fc, b.fc), 2 * self.den)
 
     def norm_sq(self, a: Weight) -> Fraction:
         return self.inner(a, a)
@@ -483,15 +501,15 @@ class RootSystem:
 
     def height_of(self, weight: Weight) -> int:
         """Sum of root coordinates; weight must be in the root lattice."""
-        rc = weight.root_coords()
-        if any(x.denominator != 1 for x in rc):
+        rc = self.lattice_coords(weight.fc)
+        if rc is None:
             raise ValueError("weight is not in the root lattice")
-        return int(sum(rc))
+        return sum(rc)
 
     def dominance_leq(self, a: Weight, b: Weight) -> bool:
         """True iff b - a is a nonnegative integer sum of simple roots."""
-        rc = (b - a).root_coords()
-        return all(x.denominator == 1 and x >= 0 for x in rc)
+        rc = self.lattice_coords([y - x for x, y in zip(a.fc, b.fc)])
+        return rc is not None and all(x >= 0 for x in rc)
 
     # -- Weyl group ----------------------------------------------------
 
@@ -539,13 +557,18 @@ class RootSystem:
         self._weyl_cache[key] = out
         return out
 
-    def weyl_group(self) -> list:
-        """All Weyl group elements, ordered by (length, word)."""
+    def weyl_order(self) -> int:
+        """|W|; raises CapExceeded above the Weyl order cap."""
         order = weyl_group_order(self.type_label, self.rank)
         if order > self.caps.weyl_order:
             raise CapExceeded(
                 f"|W| = {order} exceeds the Weyl order cap {self.caps.weyl_order}"
             )
+        return order
+
+    def weyl_group(self) -> list:
+        """All Weyl group elements, ordered by (length, word)."""
+        self.weyl_order()
         return self._enumerate_weyl(range(self.rank))
 
     def parabolic(self, indices) -> Parabolic:

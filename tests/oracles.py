@@ -2,14 +2,72 @@
 
 These deliberately avoid the library's own algorithms: partition counts
 come from exhaustive multiset enumeration, star/cht from box
-enumeration over the full weight interval with a comparability DP.
+enumeration over the full weight interval with a comparability DP,
+simple-root coordinates from a Fraction inverse of the Cartan matrix,
+and q-analogs from the plain sum over every Weyl group element.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
+from lieq.qanalog import q_partition
 from lieq.qpoly import QPolynomial
+
+
+def fraction_cartan_inverse(system):
+    """C^-1 with Fraction entries, by Gauss-Jordan elimination."""
+    n = system.rank
+    aug = [
+        [Fraction(system.cartan_matrix[i][j]) for j in range(n)]
+        + [Fraction(1 if j == i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def fraction_root_coords(system, fc, inverse=None):
+    """Simple-root coordinates C^-1 fc as Fractions."""
+    inv = inverse or fraction_cartan_inverse(system)
+    n = system.rank
+    return tuple(sum((inv[i][j] * fc[j] for j in range(n)), Fraction(0)) for i in range(n))
+
+
+def fraction_inner(system, a_fc, b_fc, inverse=None):
+    """(a, b) = sum_j |alpha_j|^2 / 2 * a_j * (C^-1 b)_j."""
+    rc_b = fraction_root_coords(system, b_fc, inverse)
+    return sum(
+        (Fraction(system.simple_norms[j], 2) * a_fc[j] * rc_b[j] for j in range(system.rank)),
+        Fraction(0),
+    )
+
+
+def lusztig_q_analog_oracle(mu, lam, parabolic=None) -> QPolynomial:
+    """sum over w in W of sign(w) q_partition(w.mu - lam), one term per
+    Weyl group element, with the shifted action and Fraction root
+    coordinates."""
+    system = mu.system
+    inverse = fraction_cartan_inverse(system)
+    acc = QPolynomial.zero()
+    for w in system.weyl_group():
+        gamma = system.shifted_action(w, mu) - lam
+        rc = fraction_root_coords(system, gamma.fc, inverse)
+        if any(x.denominator != 1 or x < 0 for x in rc):
+            continue
+        term = q_partition(gamma, parabolic)
+        if term:
+            acc = acc + term if w.sign > 0 else acc - term
+    return acc
 
 
 def partition_poly_oracle(system, gamma, roots) -> QPolynomial:

@@ -256,6 +256,16 @@ def test_caps_are_enforced():
         _build_irrep_uncached(system, system.weight((0, 1, 2)), Caps(ambient_dim=10))
 
 
+def test_module_cap_holds_on_a_cache_hit():
+    system = build_root_system("A", 2)
+    mu = system.weight((2, 2))
+    assert build_irrep(system, mu).dim == 27
+    assert (system.key, mu.fc) in _IRREP_CACHE
+    with pytest.raises(CapExceeded, match="27"):
+        build_irrep(system, mu, Caps(module_dim=5))
+    assert build_irrep(system, mu, Caps(module_dim=27)).dim == 27
+
+
 def test_unreachable_weight_outside_root_lattice():
     B2 = build_root_system("B", 2)
     with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from lieq import (
+    CapExceeded,
+    Caps,
     QPolynomial,
     build_root_system,
     dominant_multiplicities,
@@ -14,7 +16,7 @@ from lieq import (
 )
 from lieq.qanalog import _nilradical_roots, total_dimension_check
 
-from oracles import partition_poly_oracle
+from oracles import lusztig_q_analog_oracle, partition_poly_oracle
 
 
 def poly(coeffs):
@@ -186,3 +188,62 @@ def test_dominant_multiplicities_match_freudenthal():
     for fc, mult in table.items():
         assert freudenthal_multiplicity(mu, A3.weight(fc)) == mult
     assert table[mu.fc] == 1
+
+
+WEYL_SUM_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("G2", 2)]
+
+
+@pytest.mark.parametrize("key", WEYL_SUM_TYPES)
+def test_lusztig_q_analog_matches_weyl_group_sum(key):
+    system = build_root_system(*key)
+    rank = system.rank
+    parabolics = [None, system.parabolic([0]), system.parabolic(range(1, rank))]
+    mus = [mu for mu in itertools.product(range(4), repeat=rank) if sum(mu) <= 3]
+    lams = list(itertools.product(range(-1, 3), repeat=rank))
+    rng = random.Random(53)
+    pairs = [(rng.choice(mus), rng.choice(lams)) for _ in range(40)]
+    pairs += [(mu, mu) for mu in rng.sample(mus, 3)]  # the constant term
+    for mu_fc, lam_fc in pairs:
+        mu, lam = system.weight(mu_fc), system.weight(lam_fc)
+        for P in parabolics:
+            assert lusztig_q_analog(mu, lam, P) == lusztig_q_analog_oracle(mu, lam, P)
+
+
+def test_lusztig_q_analog_matches_weyl_group_sum_f4():
+    F4 = build_root_system("F4", 4)
+    for mu_fc in [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]:
+        for lam_fc in [(0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, -1)]:
+            mu, lam = F4.weight(mu_fc), F4.weight(lam_fc)
+            assert lusztig_q_analog(mu, lam) == lusztig_q_analog_oracle(mu, lam)
+
+
+@pytest.mark.parametrize(
+    "key,mu_fc",
+    [
+        (("A", 2), (-4, 1)),     # mu + rho = (-3, 2): regular
+        (("A", 2), (-2, 0)),     # mu + rho = (-1, 1): fixed by s_{a1+a2}
+        (("A", 3), (2, -3, 3)),  # (3, -2, 4): regular
+        (("A", 3), (0, -2, 0)),  # (1, -1, 1): fixed by s_{a2}
+        (("B", 2), (3, -4)),     # (4, -3): regular
+        (("G2", 2), (-3, 2)),    # (-2, 3): regular
+    ],
+)
+def test_lusztig_q_analog_non_dominant_mu(key, mu_fc):
+    system = build_root_system(*key)
+    mu = system.weight(mu_fc)
+    singular = not system.is_regular(mu + system.rho)
+    parabolics = [None, system.parabolic([0])]
+    for lam_fc in itertools.product(range(-2, 2), repeat=system.rank):
+        lam = system.weight(lam_fc)
+        for P in parabolics:
+            with pytest.warns(UserWarning, match="non-dominant"):
+                got = lusztig_q_analog(mu, lam, P)
+            assert got == lusztig_q_analog_oracle(mu, lam, P)
+            if singular:
+                assert got == QPolynomial.zero()
+
+
+def test_lusztig_q_analog_keeps_the_weyl_cap():
+    A2 = build_root_system("A", 2, Caps(weyl_order=2))
+    with pytest.raises(CapExceeded, match="2"):
+        lusztig_q_analog(A2.zero_weight(), A2.zero_weight())

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -7,7 +8,7 @@ import pytest
 from lieq import CapExceeded, Caps, build_root_system
 from lieq.rootsystem import weyl_group_order
 
-from oracles import weyl_orbit
+from oracles import fraction_cartan_inverse, fraction_inner, fraction_root_coords, weyl_orbit
 
 POSITIVE_ROOT_COUNTS = {
     ("A", 1): 1,
@@ -302,3 +303,44 @@ def test_length_subadditivity():
         for _ in range(40):
             a, b = rng.choice(group), rng.choice(group)
             assert a.compose(b).length <= a.length + b.length
+
+
+KERNEL_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("D", 4), ("G2", 2), ("F4", 4),
+]
+
+
+@pytest.mark.parametrize("key", KERNEL_TYPES)
+def test_integer_kernel_matches_fraction_formulas(key):
+    system = build_root_system(*key)
+    inverse = fraction_cartan_inverse(system)
+    radius = 3 if system.rank <= 2 else 2
+    box = list(itertools.product(range(-radius, radius + 1), repeat=system.rank))
+    rng = random.Random(61)
+    for fc in box:
+        exact = fraction_root_coords(system, fc, inverse)
+        integral = all(x.denominator == 1 for x in exact)
+        ints = system.lattice_coords(fc)
+        assert (ints is None) == (not integral)
+        coords = system.root_coords(fc)
+        assert coords == exact
+        weight = system.weight(fc)
+        assert weight.root_coords() == exact
+        assert weight.in_root_lattice() == integral
+        if integral:
+            assert ints == exact
+            assert all(type(x) is int for x in ints + coords)
+            assert system.height_of(weight) == sum(exact)
+        else:
+            assert all(isinstance(x, Fraction) for x in coords)
+            with pytest.raises(ValueError):
+                system.height_of(weight)
+        other = system.weight(rng.choice(box))
+        assert system.inner(weight, other) == fraction_inner(system, fc, other.fc, inverse)
+        assert system.norm_sq(weight) == fraction_inner(system, fc, fc, inverse)
+        diff = fraction_root_coords(system, [b - a for a, b in zip(fc, other.fc)], inverse)
+        assert system.dominance_leq(weight, other) == all(
+            x.denominator == 1 and x >= 0 for x in diff
+        )
+        assert system.dominance_leq(weight, weight)

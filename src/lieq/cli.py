@@ -233,12 +233,24 @@ def cmd_bk(args):
     return 0
 
 
+def _check_verify_entry(k: int, inst) -> None:
+    if not isinstance(inst, dict):
+        raise ValueError(f"verify entry {k}: must be a JSON object")
+    for key in ("type", "rank", "mu", "lambda"):
+        if key not in inst:
+            raise ValueError(f"verify entry {k}: missing key {key!r}")
+    if "partition" not in inst and "orbit" not in inst:
+        raise ValueError(f"verify entry {k}: needs 'partition' or 'orbit'")
+
+
 def cmd_verify(args):
     with open(args.config) as handle:
         instances = json.load(handle)
     if not isinstance(instances, list):
         print("verify: config must be a JSON array", file=sys.stderr)
         return 2
+    for k, inst in enumerate(instances):
+        _check_verify_entry(k, inst)
     reports = []
     failed = False
     for inst in instances:

@@ -16,11 +16,10 @@ class Caps:
 
     rank: int = 6
     weyl_order: int = 2000
-    ambient_dim: int = 10_000
     module_dim: int = 500
 
     def __post_init__(self):
-        for name in ("rank", "weyl_order", "ambient_dim", "module_dim"):
+        for name in ("rank", "weyl_order", "module_dim"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"cap {name!r} must be positive")
 
@@ -31,7 +30,6 @@ def caps_from_env() -> Caps:
     for field, env in (
         ("rank", "LIEQ_RANK_CAP"),
         ("weyl_order", "LIEQ_WEYL_CAP"),
-        ("ambient_dim", "LIEQ_AMBIENT_CAP"),
         ("module_dim", "LIEQ_MODULE_CAP"),
     ):
         value = os.environ.get(env)

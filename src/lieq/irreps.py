@@ -1,14 +1,15 @@
-"""Explicit irreducible highest-weight modules, built inside tensor
-products with exact rational arithmetic, plus the nilpotent jump
-polynomial of a filtration by kernels of powers.
+"""Explicit irreducible highest-weight modules over exact rational
+arithmetic, plus the nilpotent jump polynomial of a filtration by
+kernels of powers.
 
-Construction strategy: the defining module (type A) and the adjoint
-module are base cases with hand-written generator actions.  A general
-highest weight is reached by peeling off one fundamental weight at a
-time, taking the cyclic submodule generated by a highest-weight vector
-inside the two-factor tensor product; fundamental weights themselves
-come from small tensor powers of a base module.  Every module carries
-its basis as vectors in the ambient space, weight tags, and sparse
+Construction: V(mu) is built in its own weight spaces, with no ambient
+space.  Starting from the highest vector, each level is reached by the
+lowering operators f_i, and a vector below mu is represented only by
+its raising images (e_j v)_j, which determine it in an irreducible
+module.  Those images are known from the level above, so one row
+reduction per weight decides which f_i.b are new basis vectors.  This
+is the Verma-quotient view of de Graaf, *Lie Algebras: Theory and
+Algorithms* (2000).  Every module carries weight tags and sparse
 generator matrices in its own coordinates.
 """
 
@@ -25,17 +26,15 @@ from .rootsystem import Parabolic, RootSystem, Weight
 
 
 class ExplicitModule:
-    """A concrete module: weight-tagged basis vectors living in an
-    ambient space, with sparse column maps for the Chevalley generators."""
+    """A concrete module: a weight-tagged basis with sparse column maps
+    for the Chevalley generators."""
 
-    def __init__(self, system, highest_weight, weights, basis, e_cols, f_cols, ambient):
+    def __init__(self, system, highest_weight, weights, e_cols, f_cols):
         self.system = system
         self.highest_weight = highest_weight
         self.weights = weights          # list of fc tuples, one per basis vector
-        self.basis = basis              # list of sparse ambient vectors
         self.e_cols = e_cols            # e_cols[i][col] = {row: coeff}
         self.f_cols = f_cols
-        self.ambient = ambient          # human-readable descriptor
         self.weight_index: dict = {}
         for idx, fc in enumerate(weights):
             self.weight_index.setdefault(fc, []).append(idx)
@@ -159,7 +158,7 @@ class ExplicitModule:
 
     def __repr__(self):
         fc = self.highest_weight.fc
-        return f"ExplicitModule(dim={self.dim}, highest={fc}, ambient={self.ambient})"
+        return f"ExplicitModule(dim={self.dim}, highest={fc})"
 
 
 class FiltrationReport:
@@ -237,185 +236,12 @@ def bk_jump_polynomial(
 # construction
 
 
-def _trivial_module(system: RootSystem) -> ExplicitModule:
-    zero = tuple(0 for _ in range(system.rank))
-    return ExplicitModule(
-        system,
-        system.zero_weight(),
-        [zero],
-        [{0: Fraction(1)}],
-        [{} for _ in range(system.rank)],
-        [{} for _ in range(system.rank)],
-        "trivial",
-    )
-
-
-def _defining_module(system: RootSystem) -> ExplicitModule:
-    """The natural module of type A with e_i, f_i as matrix units."""
-    if system.type_label != "A":
-        raise ValueError("the defining module shortcut is type A only")
-    n = system.rank
-    dim = n + 1
-    weights = []
-    for j in range(dim):
-        fc = [0] * n
-        if j < n:
-            fc[j] += 1
-        if j > 0:
-            fc[j - 1] -= 1
-        weights.append(tuple(fc))
-    e_cols = [{i + 1: {i: Fraction(1)}} for i in range(n)]
-    f_cols = [{i: {i + 1: Fraction(1)}} for i in range(n)]
-    basis = [{j: Fraction(1)} for j in range(dim)]
-    return ExplicitModule(
-        system, system.fundamental_weight(0), weights, basis, e_cols, f_cols,
-        "defining",
-    )
-
-
-def _adjoint_module(system: RootSystem) -> ExplicitModule:
-    algebra = build_chevalley(system)
-    weights = [algebra.weight_of_index(i) for i in range(algebra.dim)]
-    e_cols = []
-    f_cols = []
-    simples = [
-        system._root_by_rc[tuple(1 if j == i else 0 for j in range(system.rank))]
-        for i in range(system.rank)
-    ]
-    for i in range(system.rank):
-        for sign, store in ((1, e_cols), (-1, f_cols)):
-            gen = algebra.x(simples[i], sign)
-            cols = {}
-            for j in range(algebra.dim):
-                out = algebra.bracket(gen, AlgebraElement(algebra, {j: 1})).coeffs
-                if out:
-                    cols[j] = dict(out)
-            store.append(cols)
-    highest = system.weight(system.highest_root.fc)
-    basis = [{j: Fraction(1)} for j in range(algebra.dim)]
-    return ExplicitModule(
-        system, highest, weights, basis, e_cols, f_cols, "adjoint"
-    )
-
-
-class _TensorSpace:
-    """Tensor product of explicit modules, addressed by mixed-radix
-    index; generator actions by the Leibniz rule."""
-
-    def __init__(self, factors):
-        self.factors = factors
-        self.sizes = [m.dim for m in factors]
-        self.dim = 1
-        for s in self.sizes:
-            self.dim *= s
-        self.strides = [0] * len(factors)
-        acc = 1
-        for i in range(len(factors) - 1, -1, -1):
-            self.strides[i] = acc
-            acc *= self.sizes[i]
-
-    def tuple_of(self, idx: int):
-        out = []
-        for i, s in enumerate(self.sizes):
-            out.append((idx // self.strides[i]) % s)
-        return tuple(out)
-
-    def weight(self, idx: int):
-        parts = self.tuple_of(idx)
-        rank = len(self.factors[0].weights[0])
-        fc = [0] * rank
-        for m, j in zip(self.factors, parts):
-            for k, v in enumerate(m.weights[j]):
-                fc[k] += v
-        return tuple(fc)
-
-    def gen_apply(self, which: str, i: int, vec: dict) -> dict:
-        out: dict = {}
-        for idx, c in vec.items():
-            parts = self.tuple_of(idx)
-            for f, (m, j) in enumerate(zip(self.factors, parts)):
-                cols = m.e_cols[i] if which == "e" else m.f_cols[i]
-                col = cols.get(j)
-                if not col:
-                    continue
-                base = idx - j * self.strides[f]
-                for row, a in col.items():
-                    target = base + row * self.strides[f]
-                    v = out.get(target, 0) + c * a
-                    if v:
-                        out[target] = v
-                    else:
-                        del out[target]
-        return out
-
-    def weight_subspace(self, fc) -> list:
-        """Indices of basis tensors of the given total weight."""
-        per_factor = []
-        for m in self.factors:
-            table: dict = {}
-            for j, w in enumerate(m.weights):
-                table.setdefault(w, []).append(j)
-            per_factor.append(table)
-        rank = len(fc)
-        # reachable coordinate bounds for suffixes, for pruning
-        suffix_min = [[0] * rank]
-        suffix_max = [[0] * rank]
-        for table in reversed(per_factor):
-            lo = [min(w[k] for w in table) for k in range(rank)]
-            hi = [max(w[k] for w in table) for k in range(rank)]
-            suffix_min.append([a + b for a, b in zip(suffix_min[-1], lo)])
-            suffix_max.append([a + b for a, b in zip(suffix_max[-1], hi)])
-        suffix_min.reverse()
-        suffix_max.reverse()
-        out = []
-
-        def rec(f: int, idx: int, remaining):
-            if f == len(per_factor):
-                if all(x == 0 for x in remaining):
-                    out.append(idx)
-                return
-            lo, hi = suffix_min[f + 1], suffix_max[f + 1]
-            for w, js in per_factor[f].items():
-                rest = tuple(r - x for r, x in zip(remaining, w))
-                if any(not lo[k] <= rest[k] <= hi[k] for k in range(rank)):
-                    continue
-                for j in js:
-                    rec(f + 1, idx + j * self.strides[f], rest)
-
-        rec(0, 0, tuple(fc))
-        return sorted(out)
-
-    @property
-    def descriptor(self) -> str:
-        return " (x) ".join(
-            f"V{tuple(m.highest_weight.fc)}" for m in self.factors
-        )
-
-
-def _find_highest_vector(space: _TensorSpace, system: RootSystem, mu: Weight):
-    """First echelon-order kernel vector of all raising operators inside
-    the weight-mu subspace of the tensor space, or None."""
-    candidates = space.weight_subspace(mu.fc)
-    if not candidates:
-        return None
-    rows: dict = {}
-    for i in range(system.rank):
-        for idx in candidates:
-            image = space.gen_apply("e", i, {idx: Fraction(1)})
-            for target, coeff in image.items():
-                rows.setdefault((i, target), {})[idx] = coeff
-    kernel = sparse_nullspace(rows.values(), candidates)
-    if not kernel:
-        return None
-    return dict(kernel[0])
-
-
 class _WeightEchelon:
-    """Echelon basis of one weight space of the ambient, with expansion
-    bookkeeping in module coordinates."""
+    """Echelon basis of the raising images of one weight space, with
+    expansion bookkeeping in module coordinates."""
 
     def __init__(self):
-        self.rows: dict = {}  # pivot ambient index -> (vector, expression)
+        self.rows: dict = {}  # pivot key -> (image, expression)
 
     def reduce(self, vec: dict):
         vec = dict(vec)
@@ -441,9 +267,10 @@ class _WeightEchelon:
                     expr.pop(k, None)
         return vec, expr
 
-    def insert(self, residue: dict, module_index: int) -> dict:
+    def insert(self, residue: dict, module_index: int):
         """Normalize the residue to leading coefficient 1, store it with
-        the given module index, and return the normalized vector."""
+        the given module index, and return it with its leading
+        coefficient."""
         p = min(residue)
         lead = residue[p]
         vec = {k: v / lead for k, v in residue.items()}
@@ -451,91 +278,68 @@ class _WeightEchelon:
         return vec, lead
 
 
-def _cyclic_closure(
-    system: RootSystem,
-    space: _TensorSpace,
-    highest: dict,
-    mu: Weight,
-    caps: Caps,
-) -> ExplicitModule:
+def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> ExplicitModule:
+    """V(mu) spanned by f-monomials on its highest vector, with each basis
+    vector stored only through its raising images.
+
+    For a basis vector b, the candidate f_i.b has raising images
+    e_j(f_i.b) = f_i(e_j.b) + [i == j] <wt b, alpha_i^vee> b, all of
+    them on the level just built.  Below mu a vector of an irreducible
+    module is fixed by its raising images, so row-reducing those images
+    weight by weight decides which candidates are new basis vectors and
+    expresses the others in them."""
     rank = system.rank
     alpha_fc = [
         system._root_by_rc[tuple(1 if j == i else 0 for j in range(rank))].fc
         for i in range(rank)
     ]
     echelons: dict = {}
-    weights: list = []
-    basis: list = []
-    f_cols: list = [dict() for _ in range(rank)]
+    weights: list = [mu.fc]
     e_cols: list = [dict() for _ in range(rank)]
-
-    def add_vector(fc, vec) -> int:
-        idx = len(weights)
-        if idx >= caps.module_dim:
-            raise CapExceeded(
-                f"module dimension exceeded the cap {caps.module_dim}"
-            )
-        ech = echelons.setdefault(fc, _WeightEchelon())
-        normalized, _lead = ech.insert(vec, idx)
-        weights.append(fc)
-        basis.append(normalized)
-        return idx
-
-    add_vector(mu.fc, highest)
+    f_cols: list = [dict() for _ in range(rank)]
     cursor = 0
     while cursor < len(weights):
         fc = weights[cursor]
-        vec = basis[cursor]
         for i in range(rank):
-            image = space.gen_apply("f", i, vec)
+            image: dict = {(i, cursor): Fraction(fc[i])} if fc[i] else {}
+            for j in range(rank):
+                for row, c in e_cols[j].get(cursor, {}).items():
+                    for target, a in f_cols[i].get(row, {}).items():
+                        key = (j, target)
+                        v = image.get(key, 0) + c * a
+                        if v:
+                            image[key] = v
+                        else:
+                            del image[key]
             if not image:
                 continue
             target_fc = tuple(a - b for a, b in zip(fc, alpha_fc[i]))
             ech = echelons.setdefault(target_fc, _WeightEchelon())
             residue, expr = ech.reduce(image)
             if residue:
-                new_idx = add_vector(target_fc, residue)
-                # add_vector stored residue/lead; account for the lead
-                lead = residue[min(residue)]
+                new_idx = len(weights)
+                if new_idx == dim:
+                    raise RuntimeError(f"lowering exceeded dimension {dim}; bug")
+                vec, lead = ech.insert(residue, new_idx)
+                weights.append(target_fc)
+                for (j, row), v in vec.items():
+                    e_cols[j].setdefault(new_idx, {})[row] = v
                 expr[new_idx] = lead
-            if expr:
-                f_cols[i][cursor] = expr
+            f_cols[i][cursor] = expr
         cursor += 1
 
-    expected = weyl_dimension(mu)
-    if len(weights) != expected:
+    if len(weights) != dim:
         raise RuntimeError(
-            f"cyclic closure built dimension {len(weights)}, expected {expected}"
+            f"lowering built dimension {len(weights)}, expected {dim}"
         )
-
-    for cursor, (fc, vec) in enumerate(zip(weights, basis)):
-        for i in range(rank):
-            image = space.gen_apply("e", i, vec)
-            if not image:
-                continue
-            target_fc = tuple(a + b for a, b in zip(fc, alpha_fc[i]))
-            ech = echelons.get(target_fc)
-            if ech is None:
-                raise RuntimeError("raising operator left the module; bug")
-            residue, expr = ech.reduce(image)
-            if residue:
-                raise RuntimeError("raising operator left the module; bug")
-            if expr:
-                e_cols[i][cursor] = expr
-
-    return ExplicitModule(
-        system, mu, weights, basis, e_cols, f_cols, space.descriptor
-    )
+    return ExplicitModule(system, mu, weights, e_cols, f_cols)
 
 
 _IRREP_CACHE: dict = {}
 
 
 def build_irrep(system: RootSystem, mu: Weight, caps: Caps = DEFAULT_CAPS) -> ExplicitModule:
-    """The irreducible module with highest weight mu.
-
-    Type A reaches the full weight lattice through the defining module;
-    other types reach the root lattice through the adjoint module."""
+    """The irreducible module with highest weight mu."""
     if not mu.is_dominant():
         raise ValueError(f"highest weight {mu.fc} is not dominant")
     key = (system.key, mu.fc)
@@ -547,109 +351,9 @@ def build_irrep(system: RootSystem, mu: Weight, caps: Caps = DEFAULT_CAPS) -> Ex
         )
     if hit is not None:
         return hit
-    module = _build_irrep_uncached(system, mu, caps)
+    module = _lower_from_highest(system, mu, dim)
     _IRREP_CACHE[key] = module
     return module
-
-
-def _tensor_of(factors, caps: Caps) -> _TensorSpace:
-    space = _TensorSpace(factors)
-    if space.dim > caps.ambient_dim:
-        raise CapExceeded(
-            f"ambient dimension {space.dim} exceeds the cap {caps.ambient_dim}"
-        )
-    return space
-
-
-def _build_irrep_uncached(system, mu, caps) -> ExplicitModule:
-    if mu.is_zero():
-        return _trivial_module(system)
-    rank = system.rank
-    coords = mu.fc
-    weights_of_funds = [system.fundamental_weight(i) for i in range(rank)]
-
-    if system.type_label == "A":
-        if coords == weights_of_funds[0].fc:
-            return _defining_module(system)
-        nonzero = [i for i in range(rank) if coords[i]]
-        if len(nonzero) == 1 and coords[nonzero[0]] == 1:
-            i = nonzero[0]
-            base = build_irrep(system, weights_of_funds[0], caps)
-            space = _tensor_of([base] * (i + 1), caps)
-            hw = _find_highest_vector(space, system, mu)
-            if hw is None:
-                raise RuntimeError("fundamental weight not found in tensor power")
-            return _cyclic_closure(system, space, hw, mu, caps)
-        # peel off the cheapest fundamental
-        best = min(nonzero, key=lambda i: (weyl_dimension(weights_of_funds[i]), i))
-        rest = system.weight(
-            tuple(c - (1 if j == best else 0) for j, c in enumerate(coords))
-        )
-        factors = [
-            build_irrep(system, rest, caps),
-            build_irrep(system, weights_of_funds[best], caps),
-        ]
-        space = _tensor_of(factors, caps)
-        hw = _find_highest_vector(space, system, mu)
-        if hw is None:
-            raise RuntimeError("highest weight missing from tensor product")
-        return _cyclic_closure(system, space, hw, mu, caps)
-
-    # other types: the root lattice is reachable through the adjoint
-    if not mu.in_root_lattice():
-        raise ValueError(
-            f"weight {mu.fc} is outside the root lattice and not reachable "
-            "from the adjoint module"
-        )
-    theta = system.weight(system.highest_root.fc)
-    if mu.fc == theta.fc:
-        return _adjoint_module(system)
-    lattice_funds = [
-        i for i in range(rank) if weights_of_funds[i].in_root_lattice()
-    ]
-    subtractable = [i for i in lattice_funds if coords[i] and mu.fc != weights_of_funds[i].fc]
-    if subtractable:
-        best = min(subtractable, key=lambda i: (weyl_dimension(weights_of_funds[i]), i))
-        rest = system.weight(
-            tuple(c - (1 if j == best else 0) for j, c in enumerate(coords))
-        )
-        factors = [
-            build_irrep(system, rest, caps),
-            build_irrep(system, weights_of_funds[best], caps),
-        ]
-        space = _tensor_of(factors, caps)
-        hw = _find_highest_vector(space, system, mu)
-        if hw is None:
-            raise RuntimeError("highest weight missing from tensor product")
-        return _cyclic_closure(system, space, hw, mu, caps)
-    rest = mu - theta
-    if rest.is_dominant() and not rest.is_zero():
-        factors = [build_irrep(system, rest, caps), build_irrep(system, theta, caps)]
-        space = _tensor_of(factors, caps)
-        hw = _find_highest_vector(space, system, mu)
-        if hw is None:
-            raise RuntimeError("highest weight missing from tensor product")
-        return _cyclic_closure(system, space, hw, mu, caps)
-    # last resort: search adjoint tensor powers of growing length
-    adjoint = build_irrep(system, theta, caps)
-    k = 1
-    while True:
-        scaled = system.weight(tuple(k * x for x in theta.fc))
-        if system.dominance_leq(mu, scaled):
-            if adjoint.dim**k > caps.ambient_dim:
-                raise CapExceeded(
-                    f"adjoint power ambient {adjoint.dim}**{k} exceeds the cap "
-                    f"{caps.ambient_dim}"
-                )
-            space = _tensor_of([adjoint] * k, caps)
-            hw = _find_highest_vector(space, system, mu)
-            if hw is not None:
-                return _cyclic_closure(system, space, hw, mu, caps)
-        k += 1
-        if adjoint.dim**k > caps.ambient_dim:
-            raise CapExceeded(
-                f"no ambient within cap {caps.ambient_dim} contains V{mu.fc}"
-            )
 
 
 def principal_nilpotent(algebra: ChevalleyAlgebra) -> AlgebraElement:

@@ -1,86 +1,17 @@
-"""Exact linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Row reduction is done on integer-rescaled rows (rescaling a row changes
-neither rank nor kernel), with gcd normalization to keep entries small.
-Kernel bases come out of a reduced echelon form in a fixed column order,
-so "the first nullspace vector" is well defined and reproducible.
+Vectors are dicts from a sortable key to a coefficient.  Row reduction
+is done on integer-rescaled rows (rescaling a row changes neither rank
+nor kernel), with gcd normalization to keep entries small, and pivots
+taken at the least key.  Kernel bases come out of a reduced echelon form
+in a fixed column order, so "the first nullspace vector" is well defined
+and reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def row_to_int(row) -> list[int]:
-    """Rescale a rational row to integers and divide out the content."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = lcm(den, x.denominator)
-    out = [int(x * den) if isinstance(x, Fraction) else int(x) * den for x in row]
-    g = 0
-    for x in out:
-        g = gcd(g, x)
-    if g > 1:
-        out = [x // g for x in out]
-    return out
-
-
-def echelon_int(rows) -> tuple[list[list[int]], list[int]]:
-    """Integer echelon form; returns (rows, pivot column per row)."""
-    work: list[list[int]] = []
-    pivots: list[int] = []
-    for raw in rows:
-        row = row_to_int(raw)
-        for prow, pcol in zip(work, pivots):
-            if row[pcol]:
-                a, b = prow[pcol], row[pcol]
-                row = [a * x - b * y for x, y in zip(row, prow)]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                if g > 1:
-                    row = [x // g for x in row]
-        for col, x in enumerate(row):
-            if x:
-                # keep rows sorted by pivot column
-                at = sum(1 for p in pivots if p < col)
-                work.insert(at, row)
-                pivots.insert(at, col)
-                break
-    return work, pivots
-
-
-def rank(rows) -> int:
-    return len(echelon_int(rows)[0])
-
-
-def nullspace(rows, ncols: int) -> list[list[Fraction]]:
-    """Kernel basis of the row span, one vector per free column, in
-    ascending free-column order.  Vectors are normalized with leading
-    coefficient 1."""
-    work, pivots = echelon_int(rows)
-    # back-substitution to reduced form, over Fractions
-    reduced = [[Fraction(x) for x in row] for row in work]
-    for i in range(len(reduced) - 1, -1, -1):
-        lead = reduced[i][pivots[i]]
-        reduced[i] = [x / lead for x in reduced[i]]
-        for j in range(i):
-            c = reduced[j][pivots[i]]
-            if c:
-                reduced[j] = [x - c * y for x, y in zip(reduced[j], reduced[i])]
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pcol in zip(reduced, pivots):
-            vec[pcol] = -row[free]
-        basis.append(vec)
-    return basis
 
 
 def _sparse_row_to_int(row: dict) -> dict:

@@ -71,10 +71,33 @@ def test_antisymmetry_and_bilinearity():
         assert left == x.bracket(z) + y.bracket(z)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4),
+        ("B", 2), ("B", 3), ("B", 4),
+        ("C", 3), ("D", 4), ("G2", 2), ("F4", 4),
+    ],
+)
+def test_jacobi_on_every_basis_triple(key):
+    g = algebra(*key)
+    units = [AlgebraElement(g, {i: 1}) for i in range(g.dim)]
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            bij = g.bracket(units[i], units[j])
+            for k in range(j + 1, g.dim):
+                total = (
+                    g.bracket(bij, units[k])
+                    + g.bracket(g.bracket(units[j], units[k]), units[i])
+                    + g.bracket(g.bracket(units[k], units[i]), units[j])
+                )
+                assert total.is_zero(), (i, j, k)
+
+
 @pytest.mark.parametrize("key", [("A", 5), ("B", 3), ("C", 3), ("D", 4)])
 def test_jacobi_on_random_sparse_triples(key):
-    # rank <= 4 algebras are checked exhaustively at construction; spot
-    # check the bigger ones and re-check a midsize one on random input
+    # spot check an algebra too big for the exhaustive test, and
+    # re-check midsize ones on random sparse input
     g = algebra(*key)
     rng = random.Random(5)
     for _ in range(25):

@@ -155,6 +155,27 @@ def test_text_and_json_encode_identical_reports(tmp_path, capsys):
     assert QPolynomial({int(k): v for k, v in record["r"].items()}).__str__() == poly_text
 
 
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ({"rank": 2, "partition": [3], "mu": [1, 1], "lambda": [0, 0]}, "missing key 'type'"),
+        ({"type": "A", "partition": [3], "mu": [1, 1], "lambda": [0, 0]}, "missing key 'rank'"),
+        ({"type": "A", "rank": 2, "partition": [3], "lambda": [0, 0]}, "missing key 'mu'"),
+        ({"type": "A", "rank": 2, "partition": [3], "mu": [1, 1]}, "missing key 'lambda'"),
+        ({"type": "A", "rank": 2, "mu": [1, 1], "lambda": [0, 0]}, "needs 'partition' or 'orbit'"),
+        ([1, 2], "must be a JSON object"),
+    ],
+)
+def test_verify_rejects_malformed_entry(tmp_path, capsys, entry, message):
+    good = {"type": "A", "rank": 2, "partition": [3], "mu": [1, 1], "lambda": [0, 0]}
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps([good, entry]))
+    code, out, err = run_cli(capsys, "verify", "--config", str(config))
+    assert code != 0
+    assert out == ""
+    assert err.splitlines() == [f"error: verify entry 1: {message}"]
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "bk", "--type", "A", "--rank", "2", "--mu", "1,1", "--lambda", "0,0")
     assert code == 2

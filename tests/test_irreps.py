@@ -10,13 +10,27 @@ from lieq import (
     build_irrep,
     build_root_system,
     bk_jump_polynomial,
+    dominant_multiplicities,
     freudenthal_multiplicity,
+    lusztig_q_analog,
     principal_nilpotent,
     weyl_dimension,
 )
 from lieq.chevalley import AlgebraElement
-from lieq.irreps import _IRREP_CACHE, _build_irrep_uncached
+from lieq.irreps import _IRREP_CACHE
 from lieq.qpoly import QPolynomial
+
+
+# modules whose highest weight is off the root lattice outside type A,
+# plus the 26-dimensional module of F4
+OFF_ROOT_LATTICE = [
+    (("B", 2), (0, 1)),
+    (("B", 3), (0, 0, 1)),
+    (("C", 3), (1, 0, 0)),
+    (("D", 4), (0, 0, 0, 1)),
+    (("D", 4), (0, 0, 1, 0)),
+    (("F4", 4), (1, 0, 0, 0)),
+]
 
 
 def module_of(label, rank, fc):
@@ -45,7 +59,8 @@ def test_reference_dimensions():
         (("G2", 2), (1, 0)),
         (("G2", 2), (1, 1)),
         (("D", 4), (0, 1, 0, 0)),
-    ],
+    ]
+    + OFF_ROOT_LATTICE,
 )
 def test_dimension_and_weight_spaces_match_oracles(key, fc):
     system = build_root_system(*key)
@@ -67,7 +82,8 @@ def test_h_matrices_are_diagonal_weight_tags():
 
 
 def test_sl2_relations_on_generator_matrices():
-    for key, fc in [(("A", 2), (1, 1)), (("B", 2), (0, 2)), (("G2", 2), (1, 0))]:
+    cases = [(("A", 2), (1, 1)), (("B", 2), (0, 2)), (("G2", 2), (1, 0))]
+    for key, fc in cases + OFF_ROOT_LATTICE:
         system = build_root_system(*key)
         module = build_irrep(system, system.weight(fc))
         for i in range(system.rank):
@@ -238,7 +254,8 @@ def test_construction_is_deterministic():
     _IRREP_CACHE.clear()
     second = build_irrep(system, mu)
     assert first.weights == second.weights
-    assert first.basis == second.basis
+    assert first.e_cols == second.e_cols
+    assert first.f_cols == second.f_cols
     algebra = build_chevalley(system)
     z = algebra.x(system._root_by_rc[(1, 0, 0)]) + algebra.x(
         system._root_by_rc[(0, 1, 1)]
@@ -252,8 +269,6 @@ def test_caps_are_enforced():
     system = build_root_system("A", 3)
     with pytest.raises(CapExceeded):
         build_irrep(system, system.weight((9, 9, 9)), Caps(module_dim=100))
-    with pytest.raises(CapExceeded):
-        _build_irrep_uncached(system, system.weight((0, 1, 2)), Caps(ambient_dim=10))
 
 
 def test_module_cap_holds_on_a_cache_hit():
@@ -266,10 +281,19 @@ def test_module_cap_holds_on_a_cache_hit():
     assert build_irrep(system, mu, Caps(module_dim=27)).dim == 27
 
 
-def test_unreachable_weight_outside_root_lattice():
-    B2 = build_root_system("B", 2)
-    with pytest.raises(ValueError):
-        build_irrep(B2, B2.weight((0, 1)))
+@pytest.mark.parametrize("key,fc", OFF_ROOT_LATTICE)
+def test_principal_filtration_off_root_lattice(key, fc):
+    system = build_root_system(*key)
+    mu = system.weight(fc)
+    module = build_irrep(system, mu)
+    e = principal_nilpotent(build_chevalley(system))
+    borel = system.borel()
+    dominant = sorted(dominant_multiplicities(mu))
+    assert fc in dominant
+    for lam_fc in dominant:
+        lam = system.weight(lam_fc)
+        r = bk_jump_polynomial(module, e, lam, borel).jump_polynomial
+        assert r == lusztig_q_analog(mu, lam, borel)
 
 
 def test_non_dominant_highest_weight_rejected():

@@ -15,7 +15,7 @@ from lieq import (
     partitions_of,
     weighted_dynkin,
 )
-from lieq.linalg import rank
+from lieq.linalg import rank_of_sparse
 from lieq.orbits import grade_of_root, jordan_type_of_nilpotent_matrix, levi_dimension
 
 
@@ -173,8 +173,6 @@ def test_orbit_rep_has_the_right_jordan_type(parts):
             for _ in range(k):
                 v = module.apply_cols(cols, v)
             vecs.append(v)
-        keys = sorted({key for v in vecs for key in v})
-        rows = [[v.get(key, Fraction(0)) for key in keys] for v in vecs if v]
-        return rank(rows) if rows else 0
+        return rank_of_sparse(vecs)
 
     assert jordan_type_of_nilpotent_matrix(n, rank_of_power) == partition

@@ -2,7 +2,7 @@
 nilpotent kernel filtrations on explicit highest-weight modules."""
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_chevalley
-from .config import Caps, CapExceeded, DEFAULT_CAPS
+from .config import Caps, CapExceeded
 from .height import cht, cht_is_zero_fast, star
 from .irreps import (
     ExplicitModule,

@@ -11,11 +11,10 @@ suite, not at construction.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .linalg import rank_of_sparse
-from .rootsystem import Root, RootSystem, build_root_system
+from .rootsystem import Root, RootSystem
 
 
 class AlgebraElement:
@@ -362,10 +361,8 @@ class ChevalleyAlgebra:
         return f"ChevalleyAlgebra({self.system.type_label}{self.system.rank})"
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_algebra(type_label: str, rank: int) -> ChevalleyAlgebra:
-    return ChevalleyAlgebra(build_root_system(type_label, rank))
-
-
 def build_chevalley(system: RootSystem) -> ChevalleyAlgebra:
-    return _cached_algebra(system.type_label, system.rank)
+    """The Chevalley algebra of system, built once and kept on it."""
+    if system._algebra is None:
+        system._algebra = ChevalleyAlgebra(system)
+    return system._algebra

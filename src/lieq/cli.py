@@ -26,8 +26,8 @@ from .orbits import (
     weighted_dynkin,
 )
 from .qanalog import lusztig_q_analog, q_partition
-from .rootsystem import build_root_system
-from .verify import orbit_data, vanishing_certificate, verify_theorem
+from .rootsystem import build_root_system, weyl_group_order
+from .verify import orbit_data, verify_theorem
 
 
 def _parse_ints(text: str):
@@ -78,7 +78,7 @@ def cmd_roots(args):
         "cartan": [list(row) for row in system.cartan_matrix],
         "positive_roots": roots,
         "rho": list(system.rho.fc),
-        "weyl_order": len(system.weyl_group()),
+        "weyl_order": weyl_group_order(system.type_label, system.rank),
     }
     lines = [
         f"root system {system.type_label}{system.rank}",
@@ -157,8 +157,9 @@ def cmd_orbit(args):
         labels = weighted_dynkin(partition)
         name = "[%s]" % ",".join(str(p) for p in partition)
         even = is_even_partition(partition)
+        rep = good_position_representative(algebra, labels, args.seed) if even else None
     elif args.orbit:
-        name, labels, _ = orbit_data(system, args.orbit, args.seed)
+        name, labels, rep = orbit_data(system, args.orbit, args.seed)
         even = is_even_labels(labels)
     else:
         print("orbit: need --partition or --orbit", file=sys.stderr)
@@ -177,7 +178,6 @@ def cmd_orbit(args):
         f"even       = {even}",
     ]
     if even:
-        rep = good_position_representative(algebra, labels, args.seed)
         support = sorted(
             algebra.index_data(i)[2].rc for i in rep.coeffs
         )

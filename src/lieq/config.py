@@ -25,7 +25,8 @@ class Caps:
 
 
 def caps_from_env() -> Caps:
-    """Default caps, each overridable through LIEQ_<NAME>_CAP."""
+    """Default caps, each overridable through LIEQ_<NAME>_CAP; a value
+    that is not a positive integer raises ValueError naming it."""
     kwargs = {}
     for field, env in (
         ("rank", "LIEQ_RANK_CAP"),
@@ -34,10 +35,10 @@ def caps_from_env() -> Caps:
     ):
         value = os.environ.get(env)
         if value is not None:
+            if not value.strip().isdecimal() or int(value) == 0:
+                raise ValueError(f"{env}={value!r} is not a positive integer")
             kwargs[field] = int(value)
     return Caps(**kwargs)
 
-
-DEFAULT_CAPS = caps_from_env()
 
 DEFAULT_SEED = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_chevalley
-from .config import DEFAULT_CAPS, CapExceeded, Caps
+from .config import CapExceeded
 from .linalg import rank_of_sparse, sparse_nullspace
 from .qanalog import weyl_dimension
 from .qpoly import QPolynomial
@@ -335,24 +335,19 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> ExplicitMod
     return ExplicitModule(system, mu, weights, e_cols, f_cols)
 
 
-_IRREP_CACHE: dict = {}
-
-
-def build_irrep(system: RootSystem, mu: Weight, caps: Caps = DEFAULT_CAPS) -> ExplicitModule:
-    """The irreducible module with highest weight mu."""
+def build_irrep(system: RootSystem, mu: Weight) -> ExplicitModule:
+    """The irreducible module with highest weight mu, built once under
+    the system's module cap and kept on the system."""
     if not mu.is_dominant():
         raise ValueError(f"highest weight {mu.fc} is not dominant")
-    key = (system.key, mu.fc)
-    hit = _IRREP_CACHE.get(key)
-    dim = weyl_dimension(mu) if hit is None else hit.dim
-    if dim > caps.module_dim:
-        raise CapExceeded(
-            f"dim V{mu.fc} = {dim} exceeds the module cap {caps.module_dim}"
-        )
-    if hit is not None:
-        return hit
-    module = _lower_from_highest(system, mu, dim)
-    _IRREP_CACHE[key] = module
+    module = system._irreps.get(mu.fc)
+    if module is not None:
+        return module
+    dim = weyl_dimension(mu)
+    cap = system.caps.module_dim
+    if dim > cap:
+        raise CapExceeded(f"dim V{mu.fc} = {dim} exceeds the module cap {cap}")
+    module = system._irreps[mu.fc] = _lower_from_highest(system, mu, dim)
     return module
 
 

@@ -10,14 +10,11 @@ dimension formula compute independently.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import warnings
 
 from .qpoly import QPolynomial
-from .rootsystem import Parabolic, RootSystem, Weight, build_root_system
-
-_QP_CACHE: dict = {}
+from .rootsystem import Parabolic, RootSystem, Weight
 
 
 def _nilradical_roots(system: RootSystem, parabolic: Parabolic | None):
@@ -36,9 +33,8 @@ def q_partition(gamma: Weight, parabolic: Parabolic | None = None) -> QPolynomia
     rc = system.lattice_coords(gamma.fc)
     if rc is None or any(x < 0 for x in rc):
         return QPolynomial.zero()
-    pkey = parabolic.key if parabolic is not None else None
-    cache_key = (system.key, pkey, rc)
-    hit = _QP_CACHE.get(cache_key)
+    cache_key = (parabolic.key if parabolic is not None else None, rc)
+    hit = system._q_partitions.get(cache_key)
     if hit is not None:
         return hit
     roots = [r.rc for r in _nilradical_roots(system, parabolic)]
@@ -64,7 +60,7 @@ def q_partition(gamma: Weight, parabolic: Parabolic | None = None) -> QPolynomia
                     for deg, c in src.items():
                         cell[deg + 1] = cell.get(deg + 1, 0) + c
     out = QPolynomial(dp[total - 1] or {})
-    _QP_CACHE[cache_key] = out
+    system._q_partitions[cache_key] = out
     return out
 
 
@@ -154,11 +150,12 @@ def _dominant_weights_below(system: RootSystem, mu_fc) -> list:
     return [fc for gap, fc in sorted(seen.items(), key=lambda it: (sum(it[0]), it[1]))]
 
 
-@functools.lru_cache(maxsize=512)
-def _multiplicity_table(system_key, mu_fc) -> dict:
+def _multiplicity_table(system: RootSystem, mu_fc) -> dict:
     """Freudenthal's recursion in integers: with S = 2 * den * (,),
     m(delta) = 2 * sum m(nu) S(nu, beta) / (S(mu+rho) - S(delta+rho))."""
-    system = build_root_system(*system_key)
+    table = system._multiplicity_tables.get(mu_fc)
+    if table is not None:
+        return table
     form = system.inner_scaled
     rho = system.rho.fc
     mu_norm = form(mu_fc, mu_fc)
@@ -184,6 +181,7 @@ def _multiplicity_table(system_key, mu_fc) -> dict:
         if rem:
             raise RuntimeError("Freudenthal recursion gave a non-integer; bug")
         table[delta] = value
+    system._multiplicity_tables[mu_fc] = table
     return table
 
 
@@ -195,14 +193,14 @@ def freudenthal_multiplicity(mu: Weight, lam: Weight) -> int:
         raise ValueError("highest weight must be dominant")
     if not (mu - lam).in_root_lattice():
         return 0
-    table = _multiplicity_table(system.key, mu.fc)
+    table = _multiplicity_table(system, mu.fc)
     return table.get(system.dominant_weight_fc(lam.fc), 0)
 
 
 def dominant_multiplicities(mu: Weight) -> dict:
     """{dominant weight fc: multiplicity} for all weights of V(mu)."""
     system = mu.system
-    table = _multiplicity_table(system.key, mu.fc)
+    table = _multiplicity_table(system, mu.fc)
     return {fc: m for fc, m in table.items() if m}
 
 

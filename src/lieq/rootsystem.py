@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
 
-from .config import DEFAULT_CAPS, CapExceeded, Caps
+from .config import CapExceeded, Caps, caps_from_env
 
 
 def _cartan_and_norms(type_label: str, rank: int):
@@ -315,9 +315,10 @@ class Parabolic:
 
 
 class RootSystem:
-    """Immutable root-system data for one (type, rank) pair."""
+    """Root-system data for one (type, rank) under one set of caps, and
+    the cache of everything computed from it, which obeys those caps."""
 
-    def __init__(self, type_label: str, rank: int, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, type_label: str, rank: int, caps: Caps):
         if rank > caps.rank:
             raise CapExceeded(f"rank {rank} exceeds rank cap {caps.rank}")
         cartan, norms = _cartan_and_norms(type_label, rank)
@@ -342,6 +343,11 @@ class RootSystem:
         self._weyl_cache: dict = {}
         self._simple_refs: list = []
         self.rho = Weight(self, [1] * rank)
+        # filled on first use by chevalley, irreps and qanalog
+        self._algebra = None
+        self._irreps: dict = {}             # mu fc -> ExplicitModule
+        self._q_partitions: dict = {}       # (parabolic key, rc) -> QPolynomial
+        self._multiplicity_tables: dict = {}  # mu fc -> Freudenthal table
 
     # -- construction ------------------------------------------------
 
@@ -640,13 +646,14 @@ class RootSystem:
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_system(type_label: str, rank: int) -> RootSystem:
-    return RootSystem(type_label, rank, DEFAULT_CAPS)
+def _cached_system(type_label: str, rank: int, caps: Caps) -> RootSystem:
+    return RootSystem(type_label, rank, caps)
 
 
 def build_root_system(type_label: str, rank: int, caps: Caps | None = None) -> RootSystem:
-    """Construct (and cache, for default caps) the root system."""
-    type_label = type_label.upper()
-    if caps is None or caps == DEFAULT_CAPS:
-        return _cached_system(type_label, rank)
-    return RootSystem(type_label, rank, caps)
+    """The root system of (type, rank) under caps, one instance per
+    (type, rank, caps) in the process.  caps=None reads the defaults
+    from the LIEQ_<NAME>_CAP variables."""
+    if caps is None:
+        caps = caps_from_env()
+    return _cached_system(type_label.upper(), rank, caps)

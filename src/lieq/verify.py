@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chevalley import AlgebraElement, build_chevalley
-from .config import DEFAULT_CAPS, DEFAULT_SEED, Caps
+from .chevalley import build_chevalley
+from .config import DEFAULT_SEED
 from .height import cht
 from .irreps import bk_jump_polynomial, build_irrep, principal_nilpotent
 from .orbits import (
@@ -21,7 +21,6 @@ from .orbits import (
     associated_parabolic,
     good_position_representative,
     is_even_labels,
-    orbit_rep_from_partition,
     weighted_dynkin,
 )
 from .qanalog import lusztig_q_analog
@@ -147,16 +146,15 @@ def verify_theorem(
     mu: Weight,
     lam: Weight,
     orbit_spec,
-    caps: Caps = DEFAULT_CAPS,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Build the module, run the filtration against the q-analog, and
-    attach the certificate for this instance."""
+    attach the certificate for this instance; the system's caps apply."""
     if not mu.is_dominant():
         raise ValueError("highest weight must be dominant")
     name, labels, rep = orbit_data(system, orbit_spec, seed)
     parabolic = associated_parabolic(system, labels)
-    module = build_irrep(system, mu, caps)
+    module = build_irrep(system, mu)
     report = bk_jump_polynomial(module, rep, lam, parabolic)
     m_poly = lusztig_q_analog(mu, lam, parabolic)
     cert = vanishing_certificate(lam, parabolic, system)

@@ -45,7 +45,7 @@ def report(number, ok, detail=""):
     assert ok, f"criterion {number} failed: {detail}"
 
 
-def dominant_weights_with_dim_bound(system, bound, root_lattice_only=False):
+def dominant_weights_with_dim_bound(system, bound):
     """All dominant weights with Weyl dimension at most the bound.
     Dimension is monotone in each fundamental coordinate, so prefixes
     stop growing as soon as the dimension passes the bound."""
@@ -55,8 +55,7 @@ def dominant_weights_with_dim_bound(system, bound, root_lattice_only=False):
         if len(prefix) == system.rank:
             mu = system.weight(prefix)
             if weyl_dimension(mu) <= bound:
-                if not root_lattice_only or mu.in_root_lattice():
-                    out.append(mu)
+                out.append(mu)
                 return True
             return False
         c = 0
@@ -189,29 +188,23 @@ def test_criterion_2_worked_example_g2():
     report(2, not failed, detail)
 
 
-BRYLINSKI_SWEEP = [
-    ("A", 1, False),
-    ("A", 2, False),
-    ("A", 3, False),
-    ("B", 2, True),
-    ("G2", 2, True),
-]
+BRYLINSKI_SWEEP = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G2", 2)]
 
 
 @pytest.fixture(scope="module")
 def brylinski_results():
-    """r and m for principal filtrations over every reachable dominant
-    highest weight of dimension <= 200 and every dominant weight."""
+    """r and m for principal filtrations over every dominant highest
+    weight of dimension <= 200 and every dominant weight."""
     results = []
     t0 = time.time()
-    for label, rank, lattice_only in BRYLINSKI_SWEEP:
+    for label, rank in BRYLINSKI_SWEEP:
         system = build_root_system(label, rank)
         algebra = build_chevalley(system)
         from lieq import principal_nilpotent
 
         e = principal_nilpotent(algebra)
         borel = system.borel()
-        for mu in dominant_weights_with_dim_bound(system, 200, lattice_only):
+        for mu in dominant_weights_with_dim_bound(system, 200):
             module = build_irrep(system, mu)
             for lam_fc in sorted(dominant_multiplicities(mu)):
                 lam = system.weight(lam_fc)
@@ -243,9 +236,9 @@ def test_criterion_4_multiplicity_cross_oracles(brylinski_results):
         ):
             bad.append((key, mu_fc, lam_fc))
     checked = set()
-    for label, rank, lattice_only in BRYLINSKI_SWEEP:
+    for label, rank in BRYLINSKI_SWEEP:
         system = build_root_system(label, rank)
-        for mu in dominant_weights_with_dim_bound(system, 200, lattice_only):
+        for mu in dominant_weights_with_dim_bound(system, 200):
             total, dim = total_dimension_check(mu)
             if total != dim:
                 bad.append((system.key, mu.fc, "sum"))

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +24,12 @@ def test_roots_text_and_json_agree(capsys):
     assert data["weyl_order"] == 6
     assert len(data["positive_roots"]) == 3
     assert data["rho"] == [1, 1]
+
+
+def test_roots_prints_weyl_order_above_the_weyl_cap(capsys):
+    code, out, _ = run_cli(capsys, "roots", "--type", "A", "--rank", "6")
+    assert code == 0
+    assert "|W| = 5040" in out.splitlines()
 
 
 def test_qanalog_example(capsys):
@@ -191,3 +201,19 @@ def test_unknown_orbit_name(capsys):
     )
     assert code == 1
     assert "unknown orbit" in err
+
+
+@pytest.mark.parametrize("name,value", [("LIEQ_RANK_CAP", "abc"), ("LIEQ_MODULE_CAP", "0")])
+def test_bad_cap_variable_is_one_error_line(name, value):
+    # a fresh interpreter, so that importing lieq runs under the variable
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), **{name: value})
+    proc = subprocess.run(
+        [sys.executable, "-m", "lieq", "roots", "--type", "A", "--rank", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: {name}={value!r} is not a positive integer"
+    ]

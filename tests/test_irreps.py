@@ -14,10 +14,10 @@ from lieq import (
     freudenthal_multiplicity,
     lusztig_q_analog,
     principal_nilpotent,
+    verify_theorem,
     weyl_dimension,
 )
 from lieq.chevalley import AlgebraElement
-from lieq.irreps import _IRREP_CACHE
 from lieq.qpoly import QPolynomial
 
 
@@ -248,37 +248,63 @@ def test_jump_polynomial_for_zero_orbit():
 
 
 def test_construction_is_deterministic():
-    system = build_root_system("A", 3)
-    mu = system.weight((0, 1, 2))
-    first = build_irrep(system, mu)
-    _IRREP_CACHE.clear()
-    second = build_irrep(system, mu)
+    # systems under different caps keep separate caches, so each builds
+    # its own module and algebra
+    outcomes = []
+    for caps in (Caps(), Caps(module_dim=499)):
+        system = build_root_system("A", 3, caps)
+        module = build_irrep(system, system.weight((0, 1, 2)))
+        algebra = build_chevalley(system)
+        z = algebra.x(system._root_by_rc[(1, 0, 0)]) + algebra.x(
+            system._root_by_rc[(0, 1, 1)]
+        )
+        report = bk_jump_polynomial(
+            module, z, system.zero_weight(), system.parabolic([1])
+        )
+        outcomes.append((module, report.jump_polynomial))
+    (first, r1), (second, r2) = outcomes
+    assert first is not second
     assert first.weights == second.weights
     assert first.e_cols == second.e_cols
     assert first.f_cols == second.f_cols
-    algebra = build_chevalley(system)
-    z = algebra.x(system._root_by_rc[(1, 0, 0)]) + algebra.x(
-        system._root_by_rc[(0, 1, 1)]
-    )
-    r1 = bk_jump_polynomial(first, z, system.zero_weight(), system.parabolic([1]))
-    r2 = bk_jump_polynomial(second, z, system.zero_weight(), system.parabolic([1]))
-    assert r1.jump_polynomial == r2.jump_polynomial
+    assert r1 == r2
 
 
 def test_caps_are_enforced():
-    system = build_root_system("A", 3)
+    system = build_root_system("A", 3, Caps(module_dim=100))
     with pytest.raises(CapExceeded):
-        build_irrep(system, system.weight((9, 9, 9)), Caps(module_dim=100))
+        build_irrep(system, system.weight((9, 9, 9)))
 
 
 def test_module_cap_holds_on_a_cache_hit():
-    system = build_root_system("A", 2)
-    mu = system.weight((2, 2))
-    assert build_irrep(system, mu).dim == 27
-    assert (system.key, mu.fc) in _IRREP_CACHE
+    default = build_root_system("A", 2)
+    assert build_irrep(default, default.weight((2, 2))).dim == 27
+    capped = build_root_system("A", 2, Caps(module_dim=5))
+    mu = capped.weight((2, 2))
     with pytest.raises(CapExceeded, match="27"):
-        build_irrep(system, mu, Caps(module_dim=5))
-    assert build_irrep(system, mu, Caps(module_dim=27)).dim == 27
+        build_irrep(capped, mu)
+    with pytest.raises(CapExceeded, match="27"):
+        verify_theorem(capped, mu, capped.zero_weight(), "principal")
+    roomy = build_root_system("A", 2, Caps(module_dim=27))
+    assert build_irrep(roomy, roomy.weight((2, 2))).dim == 27
+
+
+def test_caller_system_owns_algebra_and_module():
+    # rank 7 is above the default rank cap: nothing may fall back to a
+    # default-caps system
+    caps = Caps(rank=8, weyl_order=40320)
+    system = build_root_system("A", 7, caps)
+    assert build_root_system("a", 7, caps) is system
+    algebra = build_chevalley(system)
+    assert algebra.system is system
+    omega1 = system.fundamental_weight(0)
+    module = build_irrep(system, omega1)
+    assert module.system is system
+    borel = system.borel()
+    e = principal_nilpotent(algebra)
+    r = bk_jump_polynomial(module, e, omega1, borel).jump_polynomial
+    assert r == lusztig_q_analog(omega1, omega1, borel) == QPolynomial({0: 1})
+    assert freudenthal_multiplicity(omega1, omega1) == 1
 
 
 @pytest.mark.parametrize("key,fc", OFF_ROOT_LATTICE)

@@ -236,6 +236,25 @@ def test_weyl_cap_refusal_names_the_cap():
         system.weyl_group()
 
 
+def test_cap_variables_are_read_when_a_default_system_is_built(monkeypatch):
+    monkeypatch.setenv("LIEQ_RANK_CAP", "8")
+    system = build_root_system("A", 7)
+    assert system.caps == Caps(rank=8)
+    assert build_root_system("A", 7, Caps(rank=8)) is system
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("LIEQ_RANK_CAP", "abc"), ("LIEQ_MODULE_CAP", "0"), ("LIEQ_WEYL_CAP", "-3")],
+)
+def test_bad_cap_variable_names_itself(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(ValueError, match=f"{name}='{value}'"):
+        build_root_system("A", 2)
+    # caps given explicitly do not read the environment
+    assert build_root_system("A", 2, Caps()).caps == Caps()
+
+
 def test_invalid_type_rank():
     with pytest.raises(ValueError):
         build_root_system("G2", 3)

@@ -18,7 +18,7 @@ from .orbits import (
     good_position_representative,
     is_even_labels,
     is_even_partition,
-    orbit_rep_from_partition,
+    partition_labels,
     partitions_of,
     weighted_dynkin,
 )

@@ -171,11 +171,12 @@ class ChevalleyAlgebra:
             else:
                 return p
 
-    def _norm_rc(self, rc) -> int:
-        root = self.system._root_by_rc.get(rc) or self.system._root_by_rc[
-            tuple(-c for c in rc)
-        ]
-        return root.norm_sq
+    def _n_pos(self, i: int, j: int) -> int:
+        """N(beta_i, beta_j) for positive roots, from the positive table
+        and antisymmetry."""
+        if (i, j) in self._pos_n:
+            return self._pos_n[(i, j)]
+        return -self._pos_n[(j, i)]
 
     def _build_positive_table(self):
         """Constants N(beta, gamma) for positive pairs with beta+gamma a
@@ -183,12 +184,7 @@ class ChevalleyAlgebra:
         system = self.system
         roots = system.positive_roots
         by_rc = system._root_by_rc
-
-        def n_pos(i, j):
-            if (i, j) in self._pos_n:
-                return self._pos_n[(i, j)]
-            return -self._pos_n[(j, i)]
-
+        n_pos = self._n_pos
         for delta in roots:
             if delta.height == 1:
                 continue
@@ -236,26 +232,21 @@ class ChevalleyAlgebra:
     def _n_signed(self, sign_b, beta: Root, sign_g, gamma: Root) -> int:
         """N for arbitrary signed root pair whose sum is a root."""
         by_rc = self.system._root_by_rc
-
-        def n_pos(b: Root, g: Root) -> int:
-            if (b.index, g.index) in self._pos_n:
-                return self._pos_n[(b.index, g.index)]
-            return -self._pos_n[(g.index, b.index)]
-
+        n_pos = self._n_pos
         if sign_b > 0 and sign_g > 0:
-            return n_pos(beta, gamma)
+            return n_pos(beta.index, gamma.index)
         if sign_b < 0 and sign_g < 0:
-            return -n_pos(beta, gamma)
+            return -n_pos(beta.index, gamma.index)
         if sign_b < 0 and sign_g > 0:
             return -self._n_signed(1, gamma, -1, beta)
         # beta positive, gamma negative
         s_rc = tuple(a - b for a, b in zip(beta.rc, gamma.rc))
         if s_rc in by_rc:
             delta = by_rc[s_rc]
-            value = -Fraction(delta.norm_sq, beta.norm_sq) * n_pos(gamma, delta)
+            value = -Fraction(delta.norm_sq, beta.norm_sq) * n_pos(gamma.index, delta.index)
         else:
             delta = by_rc[tuple(-c for c in s_rc)]
-            value = -Fraction(delta.norm_sq, gamma.norm_sq) * n_pos(beta, delta)
+            value = -Fraction(delta.norm_sq, gamma.norm_sq) * n_pos(beta.index, delta.index)
         if value.denominator != 1:
             raise RuntimeError("non-integral mixed structure constant; bug")
         return int(value)

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: roots, qanalog, cht, orbit, bk, verify.  Weights are read
-as comma-separated fundamental coordinates (or simple-root coordinates
-with --root-coords); simple-root and parabolic indices are 1-based,
-left to right on the Dynkin diagram.
+Subcommands: roots, qanalog, partition, cht, orbit, bk, verify.  Weights
+are read as comma-separated fundamental coordinates (or simple-root
+coordinates with --root-coords); simple-root and parabolic indices are
+1-based, left to right on the Dynkin diagram.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .orbits import (
     is_even_labels,
     is_even_partition,
     levi_dimension,
-    weighted_dynkin,
+    partition_labels,
 )
 from .qanalog import lusztig_q_analog, q_partition
 from .rootsystem import build_root_system, weyl_group_order
@@ -154,7 +154,7 @@ def cmd_orbit(args):
     algebra = build_chevalley(system)
     if args.partition:
         partition = Partition(tuple(_parse_ints(args.partition)))
-        labels = weighted_dynkin(partition)
+        labels = partition_labels(system, partition)
         name = "[%s]" % ",".join(str(p) for p in partition)
         even = is_even_partition(partition)
         rep = good_position_representative(algebra, labels, args.seed) if even else None
@@ -233,6 +233,21 @@ def cmd_bk(args):
     return 0
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
+# what each verify entry value must be, and the check for it
+_ENTRY_VALUES = {
+    "type": ("a string", lambda v: isinstance(v, str)),
+    "rank": ("an integer", lambda v: type(v) is int),
+    "mu": ("a list of integers", _is_int_list),
+    "lambda": ("a list of integers", _is_int_list),
+    "partition": ("a list of integers", _is_int_list),
+    "orbit": ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def _check_verify_entry(k: int, inst) -> None:
     if not isinstance(inst, dict):
         raise ValueError(f"verify entry {k}: must be a JSON object")
@@ -241,6 +256,9 @@ def _check_verify_entry(k: int, inst) -> None:
             raise ValueError(f"verify entry {k}: missing key {key!r}")
     if "partition" not in inst and "orbit" not in inst:
         raise ValueError(f"verify entry {k}: needs 'partition' or 'orbit'")
+    for key, (kind, ok) in _ENTRY_VALUES.items():
+        if key in inst and not ok(inst[key]):
+            raise ValueError(f"verify entry {k}: {key!r} must be {kind}")
 
 
 def cmd_verify(args):
@@ -254,7 +272,7 @@ def cmd_verify(args):
     reports = []
     failed = False
     for inst in instances:
-        system = build_root_system(inst["type"], int(inst["rank"]))
+        system = build_root_system(inst["type"], inst["rank"])
         mu = system.weight(inst["mu"])
         lam = system.weight(inst["lambda"])
         if "partition" in inst:

@@ -44,9 +44,6 @@ class ExplicitModule:
     def dim(self) -> int:
         return len(self.weights)
 
-    def h_eigenvalue(self, i: int, idx: int) -> int:
-        return self.weights[idx][i]
-
     def weight_space(self, lam: Weight) -> list:
         """Unit vectors (module coordinates) spanning the weight space."""
         return [{idx: Fraction(1)} for idx in self.weight_index.get(lam.fc, [])]

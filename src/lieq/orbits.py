@@ -92,26 +92,18 @@ def weighted_dynkin(partition: Partition) -> tuple:
     return labels
 
 
-def orbit_rep_from_partition(
-    algebra: ChevalleyAlgebra, partition: Partition
-) -> AlgebraElement:
-    """Sum of simple root vectors realizing block-diagonal Jordan form
-    in the natural module; type A only."""
-    system = algebra.system
+def partition_labels(system: RootSystem, partition: Partition) -> tuple:
+    """Weighted Dynkin labels of the partition's orbit in system, which
+    must be A_n with the partition of n + 1."""
     if system.type_label != "A":
-        raise ValueError("partition orbits are a type A construction")
+        raise ValueError(
+            f"partition orbits are a type A construction, not {system.type_label}"
+        )
     if partition.total != system.rank + 1:
         raise ValueError(
             f"partition of {partition.total} does not match A{system.rank}"
         )
-    by_node = {r.rc.index(1): r for r in system.positive_roots if r.height == 1}
-    out = algebra.zero()
-    offset = 0
-    for p in partition:
-        for j in range(offset, offset + p - 1):
-            out = out + algebra.x(by_node[j])
-        offset += p
-    return out
+    return weighted_dynkin(partition)
 
 
 def associated_parabolic(system: RootSystem, labels) -> Parabolic:
@@ -158,21 +150,3 @@ def good_position_representative(
         f"no Richardson representative found for labels {labels} "
         f"after {max_draws} draws"
     )
-
-
-def jordan_type_of_nilpotent_matrix(size: int, rank_fn) -> Partition:
-    """Recover the Jordan type from the rank sequence of matrix powers:
-    the number of blocks of size >= k is rank(M^(k-1)) - rank(M^k)."""
-    ranks = [size]
-    k = 1
-    while ranks[-1] > 0:
-        ranks.append(rank_fn(k))
-        k += 1
-    counts = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
-    parts = []
-    for block_size in range(len(counts), 0, -1):
-        at_least = counts[block_size - 1]
-        longer = counts[block_size] if block_size < len(counts) else 0
-        parts.extend([block_size] * (at_least - longer))
-    parts = [p for p in sorted(parts, reverse=True) if p > 0]
-    return Partition(tuple(parts))

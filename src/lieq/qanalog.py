@@ -202,31 +202,3 @@ def dominant_multiplicities(mu: Weight) -> dict:
     system = mu.system
     table = _multiplicity_table(system, mu.fc)
     return {fc: m for fc, m in table.items() if m}
-
-
-def _orbit_size(system: RootSystem, fc) -> int:
-    zero_set = tuple(sorted(i for i, x in enumerate(fc) if x == 0))
-    return len(system.weyl_group()) // len(system._enumerate_weyl(zero_set))
-
-
-def total_dimension_check(mu: Weight) -> tuple[int, int]:
-    """(sum of all weight multiplicities, weyl_dimension) for V(mu)."""
-    system = mu.system
-    table = dominant_multiplicities(mu)
-    total = sum(m * _orbit_size(system, fc) for fc, m in table.items())
-    return total, weyl_dimension(mu)
-
-
-def all_weights(mu: Weight) -> list:
-    """Every weight of V(mu), each listed once."""
-    system = mu.system
-    out = []
-    seen = set()
-    for fc in dominant_multiplicities(mu):
-        for w in system.weyl_group():
-            img = w.apply_fc(fc)
-            if img not in seen:
-                seen.add(img)
-                out.append(system.weight(img))
-    out.sort(key=lambda w: w.fc, reverse=True)
-    return out

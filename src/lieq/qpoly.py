@@ -51,34 +51,8 @@ class QPolynomial:
             out[deg] = out.get(deg, 0) - c
         return QPolynomial(out)
 
-    def __neg__(self):
-        return QPolynomial({d: -c for d, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QPolynomial({d: c * other for d, c in self.coeffs.items()})
-        out = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-        return QPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, n: int) -> "QPolynomial":
-        """Multiply by q^n."""
-        return QPolynomial({d + n: c for d, c in self.coeffs.items()})
-
     def evaluate(self, value: int = 1) -> int:
         return sum(c * value**d for d, c in self.coeffs.items())
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else -1
-
-    def coefficient(self, deg: int) -> int:
-        return self.coeffs.get(deg, 0)
 
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())

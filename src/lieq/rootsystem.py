@@ -229,15 +229,6 @@ class WeylElement:
         )
         return WeylElement(self.system, rows, self.word + other.word)
 
-    def inverse(self) -> "WeylElement":
-        out = self.system.identity_element()
-        for i in reversed(self.word):
-            out = out.compose(self.system.simple_reflection(i))
-        return out
-
-    def is_identity(self) -> bool:
-        return self.matrix == self.system.identity_element().matrix
-
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
@@ -281,17 +272,6 @@ class Parabolic:
         for r in self.positive_roots:
             fc = [a + b for a, b in zip(fc, r.fc)]
         return Weight(self.system, fc)
-
-    def rho_pairing(self, root: Root) -> int:
-        """<rho_P, beta^vee> for beta in the parabolic's root set."""
-        doubled = self.system.pair(self.rho_doubled, root)
-        if doubled % 2:
-            raise ValueError("rho_P pairing is not integral on this root")
-        return doubled // 2
-
-    def weyl_elements(self) -> list:
-        """The subgroup W_P, ordered by (length, word)."""
-        return self.system._enumerate_weyl(sorted(self.indices))
 
     def is_dominant(self, weight: Weight) -> bool:
         return all(weight.fc[i] >= 0 for i in self.indices)
@@ -340,7 +320,7 @@ class RootSystem:
         )
         self.positive_roots = self._close_positive_roots()
         self._root_by_rc = {r.rc: r for r in self.positive_roots}
-        self._weyl_cache: dict = {}
+        self._weyl_group = None
         self._simple_refs: list = []
         self.rho = Weight(self, [1] * rank)
         # filled on first use by chevalley, irreps and qanalog
@@ -475,28 +455,12 @@ class RootSystem:
     def highest_root(self) -> Root:
         return max(self.positive_roots, key=lambda r: r.height)
 
-    @property
-    def dimension(self) -> int:
-        """Dimension of the ambient Lie algebra."""
-        return self.rank + 2 * len(self.positive_roots)
-
     def inner(self, a: Weight, b: Weight) -> Fraction:
         """Invariant inner product (short simple roots have norm 1)."""
         return Fraction(self.inner_scaled(a.fc, b.fc), 2 * self.den)
 
     def norm_sq(self, a: Weight) -> Fraction:
         return self.inner(a, a)
-
-    @property
-    def inner_product_matrix(self) -> tuple:
-        """Gram matrix of the simple roots."""
-        return tuple(
-            tuple(
-                Fraction(self.simple_norms[i], 2) * self.cartan_matrix[i][j]
-                for j in range(self.rank)
-            )
-            for i in range(self.rank)
-        )
 
     def pair(self, weight: Weight, root: Root) -> int:
         """Coroot pairing <weight, root^vee>."""
@@ -541,28 +505,6 @@ class RootSystem:
                 self._simple_refs.append(w)
         return self._simple_refs[i]
 
-    def _enumerate_weyl(self, generator_indices) -> list:
-        key = tuple(generator_indices)
-        cached = self._weyl_cache.get(key)
-        if cached is not None:
-            return cached
-        gens = [self.simple_reflection(i) for i in generator_indices]
-        seen = {self.identity_element().matrix: self.identity_element()}
-        frontier = [self.identity_element()]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    cand = w.compose(g)
-                    if cand.matrix not in seen:
-                        cand._length = len(cand.word)
-                        seen[cand.matrix] = cand
-                        nxt.append(cand)
-            frontier = nxt
-        out = sorted(seen.values(), key=lambda w: (len(w.word), w.word))
-        self._weyl_cache[key] = out
-        return out
-
     def weyl_order(self) -> int:
         """|W|; raises CapExceeded above the Weyl order cap."""
         order = weyl_group_order(self.type_label, self.rank)
@@ -573,9 +515,26 @@ class RootSystem:
         return order
 
     def weyl_group(self) -> list:
-        """All Weyl group elements, ordered by (length, word)."""
+        """All Weyl group elements, ordered by (length, word); enumerated
+        once, breadth first from the identity, and kept on the system."""
         self.weyl_order()
-        return self._enumerate_weyl(range(self.rank))
+        if self._weyl_group is None:
+            gens = [self.simple_reflection(i) for i in range(self.rank)]
+            identity = self.identity_element()
+            seen = {identity.matrix: identity}
+            frontier = [identity]
+            while frontier:
+                nxt = []
+                for w in frontier:
+                    for g in gens:
+                        cand = w.compose(g)
+                        if cand.matrix not in seen:
+                            cand._length = len(cand.word)
+                            seen[cand.matrix] = cand
+                            nxt.append(cand)
+                frontier = nxt
+            self._weyl_group = sorted(seen.values(), key=lambda w: (len(w.word), w.word))
+        return self._weyl_group
 
     def parabolic(self, indices) -> Parabolic:
         return Parabolic(self, indices)
@@ -599,47 +558,11 @@ class RootSystem:
             else:
                 return tuple(fc)
 
-    def dominant_representative(self, weight: Weight):
-        """(dominant conjugate, w) with w(weight) dominant; w picks the
-        least-index negative coordinate at every step."""
-        fc = list(weight.fc)
-        w = self.identity_element()
-        while True:
-            for i in range(self.rank):
-                if fc[i] < 0:
-                    s = self.simple_reflection(i)
-                    fc = list(s.apply_fc(fc))
-                    w = s.compose(w)
-                    break
-            else:
-                return Weight(self, fc), w
-
     def shifted_action(self, w: WeylElement, weight: Weight) -> Weight:
         """Affine action w(weight + rho) - rho."""
         shifted = [a + 1 for a in weight.fc]
         moved = w.apply_fc(shifted)
         return Weight(self, [a - 1 for a in moved])
-
-    def parabolic_shift(self, weight: Weight, parabolic: Parabolic):
-        """Minimal-length w in W_P with w(weight+rho)-rho P-dominant, or
-        None exactly when weight+rho is singular for the parabolic's
-        root subsystem."""
-        singular = any(
-            self.pair(weight, beta) + self.rho_pairing_on(beta) == 0
-            for beta in parabolic.positive_roots
-        )
-        found = None
-        for w in parabolic.weyl_elements():
-            cand = self.shifted_action(w, weight)
-            if parabolic.is_dominant(cand):
-                found = (w, cand)
-                break
-        if (found is None) != singular:
-            raise RuntimeError("parabolic shift criterion mismatch; bug")
-        return found
-
-    def rho_pairing_on(self, root: Root) -> int:
-        return self.pair(self.rho, root)
 
     def __repr__(self):
         return f"RootSystem({self.type_label}{self.rank})"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .chevalley import build_chevalley
 from .config import DEFAULT_SEED
-from .height import cht
+from .height import cht_is_zero_fast
 from .irreps import bk_jump_polynomial, build_irrep, principal_nilpotent
 from .orbits import (
     BUILTIN_ORBITS,
@@ -21,7 +21,7 @@ from .orbits import (
     associated_parabolic,
     good_position_representative,
     is_even_labels,
-    weighted_dynkin,
+    partition_labels,
 )
 from .qanalog import lusztig_q_analog
 from .qpoly import QPolynomial
@@ -64,7 +64,7 @@ def vanishing_certificate(
     if not parabolic.indices:
         if dominant:
             return VanishingCertificate("BorelDominant", "Borel case, dominant weight")
-        if cht(lam) == 0:
+        if cht_is_zero_fast(lam):
             return VanishingCertificate(
                 "ChtZeroBorel", "Borel case, combinatorial height 0"
             )
@@ -134,7 +134,7 @@ def orbit_data(system: RootSystem, orbit_spec, seed: int = DEFAULT_SEED):
     partition = (
         orbit_spec if isinstance(orbit_spec, Partition) else Partition(tuple(orbit_spec))
     )
-    labels = weighted_dynkin(partition)
+    labels = partition_labels(system, partition)
     if not is_even_labels(labels):
         raise ValueError(f"orbit of {partition} is not even; no filtration theorem")
     name = "[%s]" % ",".join(str(p) for p in partition)

@@ -4,7 +4,9 @@ These deliberately avoid the library's own algorithms: partition counts
 come from exhaustive multiset enumeration, star/cht from box
 enumeration over the full weight interval with a comparability DP,
 simple-root coordinates from a Fraction inverse of the Cartan matrix,
-and q-analogs from the plain sum over every Weyl group element.
+q-analogs from the plain sum over every Weyl group element, Weyl
+orbits from a walk by simple reflections, and Jordan types from the
+ranks of matrix powers.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from lieq.qanalog import q_partition
+from lieq.orbits import Partition
+from lieq.qanalog import dominant_multiplicities, q_partition, weyl_dimension
 from lieq.qpoly import QPolynomial
 
 
@@ -167,3 +170,39 @@ def weyl_orbit(system, weight):
                     nxt.append(img)
         frontier = nxt
     return seen
+
+
+def total_dimension_check(mu):
+    """(sum of all weight multiplicities, weyl_dimension) for V(mu), each
+    dominant weight counted once per point of its Weyl orbit."""
+    system = mu.system
+    table = dominant_multiplicities(mu)
+    total = sum(m * len(weyl_orbit(system, system.weight(fc))) for fc, m in table.items())
+    return total, weyl_dimension(mu)
+
+
+def all_weights(mu):
+    """Every weight of V(mu), each listed once, highest coordinates first."""
+    system = mu.system
+    fcs = set()
+    for fc in dominant_multiplicities(mu):
+        fcs |= weyl_orbit(system, system.weight(fc))
+    return [system.weight(fc) for fc in sorted(fcs, reverse=True)]
+
+
+def jordan_type_of_nilpotent_matrix(size, rank_fn):
+    """Recover the Jordan type from the rank sequence of matrix powers:
+    the number of blocks of size >= k is rank(M^(k-1)) - rank(M^k)."""
+    ranks = [size]
+    k = 1
+    while ranks[-1] > 0:
+        ranks.append(rank_fn(k))
+        k += 1
+    counts = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
+    parts = []
+    for block_size in range(len(counts), 0, -1):
+        at_least = counts[block_size - 1]
+        longer = counts[block_size] if block_size < len(counts) else 0
+        parts.extend([block_size] * (at_least - longer))
+    parts = [p for p in sorted(parts, reverse=True) if p > 0]
+    return Partition(tuple(parts))

@@ -33,10 +33,10 @@ from lieq import (
     weyl_dimension,
 )
 from lieq.orbits import associated_parabolic, levi_dimension
-from lieq.qanalog import all_weights, dominant_multiplicities, total_dimension_check
+from lieq.qanalog import dominant_multiplicities
 from lieq.verify import vanishing_certificate
 
-from oracles import partition_poly_oracle
+from oracles import partition_poly_oracle, total_dimension_check
 
 
 def report(number, ok, detail=""):

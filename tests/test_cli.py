@@ -174,6 +174,12 @@ def test_text_and_json_encode_identical_reports(tmp_path, capsys):
         ({"type": "A", "rank": 2, "partition": [3], "mu": [1, 1]}, "missing key 'lambda'"),
         ({"type": "A", "rank": 2, "mu": [1, 1], "lambda": [0, 0]}, "needs 'partition' or 'orbit'"),
         ([1, 2], "must be a JSON object"),
+        ({"type": "A", "rank": 2, "partition": [3], "mu": 5, "lambda": [0, 0]},
+         "'mu' must be a list of integers"),
+        ({"type": "A", "rank": 2, "orbit": 3, "mu": [1, 1], "lambda": [0, 0]},
+         "'orbit' must be a string"),
+        ({"type": "A", "rank": 2, "partition": "31", "mu": [1, 1], "lambda": [0, 0]},
+         "'partition' must be a list of integers"),
     ],
 )
 def test_verify_rejects_malformed_entry(tmp_path, capsys, entry, message):
@@ -184,6 +190,28 @@ def test_verify_rejects_malformed_entry(tmp_path, capsys, entry, message):
     assert code != 0
     assert out == ""
     assert err.splitlines() == [f"error: verify entry 1: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["orbit", "--type", "A", "--rank", "3", "--partition", "3,2"],
+         "partition of 5 does not match A3"),
+        (["orbit", "--type", "B", "--rank", "2", "--partition", "3"],
+         "partition orbits are a type A construction, not B"),
+        (["bk", "--type", "A", "--rank", "3", "--mu", "1,0,0", "--lambda", "0,0,0",
+          "--partition", "3,2"],
+         "partition of 5 does not match A3"),
+        (["bk", "--type", "B", "--rank", "2", "--mu", "1,0", "--lambda", "0,0",
+          "--partition", "3"],
+         "partition orbits are a type A construction, not B"),
+    ],
+)
+def test_partition_must_fit_the_system(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_usage_errors(capsys):

@@ -1,7 +1,9 @@
-"""Every import in the package is used: a stand-in for a linter's
-unused-import rule, built on the standard library's ast."""
+"""Every import in the package is used, and so is every private
+function: stand-ins for a linter's unused-import and unused-definition
+rules, built on the standard library's ast."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -43,3 +45,52 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unused_private_functions(sources: dict) -> list:
+    """(file, line, name) for every _-prefixed function or method that no
+    code in the given {file: source} references outside its own body."""
+    defs, total, inside = [], collections.Counter(), collections.Counter()
+
+    def references(tree):
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        total.update(references(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and _is_private(node.name):
+                defs.append((file, node.lineno, node.name))
+                inside.update(r for r in references(node) if r == node.name)
+    return sorted(d for d in defs if total[d[2]] == inside[d[2]])
+
+
+def test_checker_flags_an_unused_private_function():
+    sources = {
+        "a.py": (
+            "def _used():\n    return 1\n"
+            "def _dead():\n    return _used()\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "def _called_from_b():\n    return 0\n"
+            "class C:\n    def __init__(self):\n        self.x = 0\n"
+            "    def _method(self):\n        return 2\n"
+            "    def _dead_method(self):\n        return self._method()\n"
+        ),
+        "b.py": "import a\na._called_from_b()\n",
+    }
+    assert unused_private_functions(sources) == [
+        ("a.py", 3, "_dead"), ("a.py", 5, "_recursive"), ("a.py", 14, "_dead_method"),
+    ]
+
+
+def test_no_unused_private_functions():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_functions(sources) == []

@@ -74,13 +74,6 @@ def test_dimension_and_weight_spaces_match_oracles(key, fc):
         assert freudenthal_multiplicity(mu, system.weight(wfc)) == mult
 
 
-def test_h_matrices_are_diagonal_weight_tags():
-    system, module = module_of("A", 2, (1, 1))
-    for i in range(system.rank):
-        for idx in range(module.dim):
-            assert module.h_eigenvalue(i, idx) == module.weights[idx][i]
-
-
 def test_sl2_relations_on_generator_matrices():
     cases = [(("A", 2), (1, 1)), (("B", 2), (0, 2)), (("G2", 2), (1, 0))]
     for key, fc in cases + OFF_ROOT_LATTICE:

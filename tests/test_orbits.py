@@ -11,12 +11,14 @@ from lieq import (
     good_position_representative,
     is_even_labels,
     is_even_partition,
-    orbit_rep_from_partition,
+    partition_labels,
     partitions_of,
     weighted_dynkin,
 )
 from lieq.linalg import rank_of_sparse
-from lieq.orbits import grade_of_root, jordan_type_of_nilpotent_matrix, levi_dimension
+from lieq.orbits import grade_of_root, levi_dimension
+
+from oracles import jordan_type_of_nilpotent_matrix
 
 
 def test_partition_validation():
@@ -34,24 +36,12 @@ def test_partitions_of_counts():
     assert partitions_of(3)[0].parts == (3,)
 
 
-def test_orbit_representatives():
-    A3 = build_root_system("A", 3)
-    g = build_chevalley(A3)
-    zero = orbit_rep_from_partition(g, Partition((1, 1, 1, 1)))
-    assert zero.is_zero()
-    rep = orbit_rep_from_partition(g, Partition((3, 1)))
-    expected = g.x(A3._root_by_rc[(1, 0, 0)]) + g.x(A3._root_by_rc[(0, 1, 0)])
-    assert rep == expected
-    A2 = build_root_system("A", 2)
-    g2 = build_chevalley(A2)
-    rep = orbit_rep_from_partition(g2, Partition((2, 1)))
-    assert rep == g2.x(A2._root_by_rc[(1, 0)])
-
-
 def test_orbit_rep_rank_mismatch():
-    g = build_chevalley(build_root_system("A", 2))
-    with pytest.raises(ValueError):
-        orbit_rep_from_partition(g, Partition((3, 1)))
+    assert partition_labels(build_root_system("A", 3), Partition((3, 1))) == (2, 0, 2)
+    with pytest.raises(ValueError, match="does not match A2"):
+        partition_labels(build_root_system("A", 2), Partition((3, 1)))
+    with pytest.raises(ValueError, match="type A"):
+        partition_labels(build_root_system("B", 2), Partition((3,)))
 
 
 def test_weighted_dynkin_values():
@@ -129,12 +119,20 @@ def test_grade2_support_of_representatives():
 
 def test_bracket_of_h_with_representative_is_2x():
     for key, labels in [(("A", 3), (2, 0, 2)), (("G2", 2), (0, 2)), (("A", 4), (2, 0, 0, 2))]:
-        g = build_chevalley(build_root_system(*key))
+        system = build_root_system(*key)
+        g = build_chevalley(system)
         h = g.cartan_from_labels(labels)
         x = good_position_representative(g, labels)
         assert h.bracket(x) == 2 * x
         # the halved element scales the eigenvalue accordingly
         assert (Fraction(1, 2) * h).bracket(x) == x
+        # ad H is the grading the representative is drawn from: it acts
+        # on each root vector by the root's grade and kills the Cartan
+        for root in system.positive_roots:
+            grade = grade_of_root(root, labels)
+            for sign in (1, -1):
+                assert h.bracket(g.x(root, sign)) == sign * grade * g.x(root, sign)
+        assert all(h.bracket(g.h(i)).is_zero() for i in range(system.rank))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -156,13 +154,20 @@ def test_richardson_dimension_for_even_partitions(n):
                 good_position_representative(g, labels)
 
 
-@pytest.mark.parametrize("parts", [(2, 1), (3, 1), (2, 2), (4,), (3, 1, 1), (2, 2, 1)])
+EVEN_PARTITIONS = [
+    p.parts for n in range(2, 7) for p in partitions_of(n) if is_even_partition(p)
+]
+
+
+@pytest.mark.parametrize("parts", EVEN_PARTITIONS)
 def test_orbit_rep_has_the_right_jordan_type(parts):
+    # the representative verify_theorem uses acts on the natural module
+    # V(omega_1) with Jordan type equal to the partition
     partition = Partition(parts)
     n = partition.total
     system = build_root_system("A", n - 1)
     algebra = build_chevalley(system)
-    rep = orbit_rep_from_partition(algebra, partition)
+    rep = good_position_representative(algebra, weighted_dynkin(partition))
     module = build_irrep(system, system.fundamental_weight(0))
     cols = module.apply_element(rep)
 

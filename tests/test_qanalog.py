@@ -14,9 +14,9 @@ from lieq import (
     q_partition,
     weyl_dimension,
 )
-from lieq.qanalog import _nilradical_roots, total_dimension_check
+from lieq.qanalog import _nilradical_roots
 
-from oracles import lusztig_q_analog_oracle, partition_poly_oracle
+from oracles import lusztig_q_analog_oracle, partition_poly_oracle, total_dimension_check
 
 
 def poly(coeffs):

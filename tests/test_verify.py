@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,10 +8,12 @@ from lieq import (
     QPolynomial,
     build_irrep,
     build_root_system,
+    cht,
     vanishing_certificate,
     verify_theorem,
 )
-from lieq.qanalog import all_weights
+
+from oracles import all_weights
 
 
 def test_certificate_trivial_character():
@@ -39,12 +42,25 @@ def test_certificate_borel_cases():
     )
     # non-dominant weight of combinatorial height zero
     lam = A2.weight((-1, 1))
-    from lieq import cht
-
     assert cht(lam) == 0 and not lam.is_dominant()
     assert vanishing_certificate(lam, A2.borel(), A2).verdict == "ChtZeroBorel"
     deep = A2.weight((-2, -2))
     assert vanishing_certificate(deep, A2.borel(), A2).verdict == "Unknown"
+
+
+@pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G2", 2)])
+def test_borel_certificates_follow_the_cht_rule(key):
+    # on the Borel the certificate is PCharacter for a dominant weight,
+    # else ChtZeroBorel exactly when cht vanishes, else Unknown
+    system = build_root_system(*key)
+    borel = system.borel()
+    for fc in itertools.product(range(-4, 4), repeat=2):
+        lam = system.weight(fc)
+        if lam.is_dominant():
+            expected = "PCharacter"
+        else:
+            expected = "ChtZeroBorel" if cht(lam) == 0 else "Unknown"
+        assert vanishing_certificate(lam, borel, system).verdict == expected, fc
 
 
 def test_certificate_shift_by_levi_weight():

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .chevalley import build_chevalley
-from .config import DEFAULT_SEED
+from .config import DEFAULT_SEED, CapExceeded
 from .height import cht, cht_is_zero_fast, star
 from .irreps import bk_jump_polynomial, build_irrep
 from .orbits import (
@@ -259,6 +259,18 @@ def _check_verify_entry(k: int, inst) -> None:
     for key, (kind, ok) in _ENTRY_VALUES.items():
         if key in inst and not ok(inst[key]):
             raise ValueError(f"verify entry {k}: {key!r} must be {kind}")
+    try:
+        system = build_root_system(inst["type"], inst["rank"])
+        if "partition" in inst:
+            partition_labels(system, Partition(tuple(inst["partition"])))
+    except (ValueError, CapExceeded) as exc:
+        raise ValueError(f"verify entry {k}: {exc}") from None
+    for key in ("mu", "lambda"):
+        if len(inst[key]) != system.rank:
+            raise ValueError(
+                f"verify entry {k}: {key!r} has length {len(inst[key])}, "
+                f"not rank {system.rank}"
+            )
 
 
 def cmd_verify(args):

@@ -5,6 +5,26 @@ cht(lam) is the length of the longest chain of dominant weights from
 star(lam) up to the dominant Weyl conjugate of lam.  Chains are walked
 along positive-root steps, which is enough because covers between
 dominant weights are positive-root differences.
+
+One walk finds the interval and its longest chains together.  It goes
+down from the top one height level at a time, so every parent of a
+node sits on a higher level and has been expanded before the node is:
+the node's depth, max(parent depth) + 1, is final when its own level
+is expanded.
+
+A node of the walk is one int: its simple-root coordinates rc over
+lo, then its fundamental coordinates fc, each in a fixed-width field
+with a guard bit above it.  With top = hi - lo in simple roots, every
+node has 0 <= rc_j <= top_j and 0 <= fc_j = lo_j + sum_k C_jk rc_k
+<= lo_j + 2 * top_j, because the Cartan matrix C has 2 on the
+diagonal and entries <= 0 off it.  One positive-root step lowers an
+rc entry by at most 4 (the largest coefficient of a root, in F4) and
+never raises it, and moves an fc entry by at most 3.  So a field of w
+bits stores 2**w plus any step's result without a borrow into the
+next field once 2**w > top_j and 2**w >= 4 for an rc field, and
+2**w > lo_j + 2 * top_j + 3 for an fc field.  Then (node | guards) -
+root keeps every guard bit set exactly when no coordinate went
+negative, that is, when the step stays above lo and dominant.
 """
 
 from __future__ import annotations
@@ -27,30 +47,46 @@ def star(lam: Weight) -> Weight:
             return Weight(system, fc)
 
 
-def dominant_interval(system: RootSystem, lo: Weight, hi: Weight) -> list:
-    """All dominant weights delta with lo <= delta <= hi, found by
-    walking positive-root steps down from hi."""
-    start = system.lattice_coords([h - l for l, h in zip(lo.fc, hi.fc)])
-    if start is None or any(x < 0 for x in start):
-        return []
-    root_rcs = [r.rc for r in system.positive_roots]
-    root_fcs = [r.fc for r in system.positive_roots]
-    seen = {start: hi.fc}
-    frontier = [(start, hi.fc)]
-    while frontier:
-        nxt = []
-        for rc, fc in frontier:
-            for root_rc, root_fc in zip(root_rcs, root_fcs):
-                cand_rc = tuple(a - b for a, b in zip(rc, root_rc))
-                if any(x < 0 for x in cand_rc) or cand_rc in seen:
-                    continue
-                cand_fc = tuple(a - b for a, b in zip(fc, root_fc))
-                if any(x < 0 for x in cand_fc):
-                    continue
-                seen[cand_rc] = cand_fc
-                nxt.append((cand_rc, cand_fc))
-        frontier = nxt
-    return [(rc, fc) for rc, fc in seen.items()]
+def dominant_interval(system: RootSystem, lo: Weight, hi: Weight) -> dict:
+    """{fc: depth} for every dominant weight delta with lo <= delta <= hi
+    reached from hi by positive-root steps, where depth is the length
+    of the longest such chain from hi down to delta.  Empty unless hi
+    is dominant and hi - lo is a sum of positive roots."""
+    top = system.lattice_coords([h - l for l, h in zip(lo.fc, hi.fc)])
+    if top is None or any(x < 0 for x in top) or not hi.is_dominant():
+        return {}
+    widths = [max(t.bit_length(), 2) for t in top]
+    widths += [(l + 2 * t + 3).bit_length() for l, t in zip(lo.fc, top)]
+    offsets, guards, offset = [], 0, 0
+    for width in widths:
+        offsets.append(offset)
+        guards |= 1 << (offset + width)
+        offset += width + 1
+
+    def pack(coords):
+        return sum(c << o for c, o in zip(coords, offsets))
+
+    # node + step == (node | guards) - root
+    steps = [(r.height, guards - pack(r.rc + r.fc)) for r in system.positive_roots]
+    levels = [{} for _ in range(sum(top) + 1)]
+    levels[-1][pack(top + hi.fc)] = 0
+    for level in range(len(levels) - 1, -1, -1):
+        for node, depth in levels[level].items():
+            depth += 1
+            for height, step in steps:
+                child = node + step
+                if child & guards == guards:
+                    child ^= guards
+                    below = levels[level - height]
+                    if below.get(child, -1) < depth:
+                        below[child] = depth
+    rank = system.rank
+    fc_fields = [(o, (1 << w) - 1) for o, w in zip(offsets[rank:], widths[rank:])]
+    return {
+        tuple((node >> o) & mask for o, mask in fc_fields): depth
+        for nodes in levels
+        for node, depth in nodes.items()
+    }
 
 
 def cht(lam: Weight) -> int:
@@ -61,26 +97,10 @@ def cht(lam: Weight) -> int:
     hi = system.weight(system.dominant_weight_fc(lam.fc))
     if lo.fc == hi.fc:
         return 0
-    nodes = dominant_interval(system, lo, hi)
-    by_rc = {rc: None for rc, _ in nodes}
-    root_rcs = [r.rc for r in system.positive_roots]
-    longest = {tuple(0 for _ in range(system.rank)): 0}
-    for rc, _fc in sorted(nodes, key=lambda item: (sum(item[0]), item[0])):
-        if sum(rc) == 0:
-            continue
-        best = None
-        for root_rc in root_rcs:
-            prev = tuple(a - b for a, b in zip(rc, root_rc))
-            if prev in longest:
-                cand = longest[prev] + 1
-                if best is None or cand > best:
-                    best = cand
-        if best is not None:
-            longest[rc] = best
-    top = system.lattice_coords([h - l for l, h in zip(lo.fc, hi.fc)])
-    if top not in longest:
-        raise RuntimeError("dominant interval was not chain-connected; bug")
-    return longest[top]
+    depths = dominant_interval(system, lo, hi)
+    if lo.fc not in depths:
+        raise RuntimeError("dominant interval walk did not reach star(lam); bug")
+    return depths[lo.fc]
 
 
 def cht_is_zero_fast(lam: Weight) -> bool:

@@ -6,7 +6,9 @@ enumeration over the full weight interval with a comparability DP,
 simple-root coordinates from a Fraction inverse of the Cartan matrix,
 q-analogs from the plain sum over every Weyl group element, Weyl
 orbits from a walk by simple reflections, and Jordan types from the
-ranks of matrix powers.
+ranks of matrix powers.  cht also has the earlier two-pass search
+(breadth-first interval, then a longest-chain DP) as an oracle for the
+one-pass walk.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from lieq.height import star
 from lieq.orbits import Partition
 from lieq.qanalog import dominant_multiplicities, q_partition, weyl_dimension
 from lieq.qpoly import QPolynomial
@@ -155,6 +158,42 @@ def cht_oracle(system, lam):
         if best is not None:
             longest[w.fc] = best
     return longest[hi.fc]
+
+
+def cht_two_pass_oracle(lam):
+    """(cht, interval) the two-pass way: a breadth-first search down
+    from the dominant conjugate collects the dominant interval as a set
+    of fundamental coordinates, then a DP over the nodes sorted by
+    height above star(lam) finds the longest positive-root chain up to
+    the top."""
+    system = lam.system
+    lo = star(lam)
+    hi = system.weight(system.dominant_weight_fc(lam.fc))
+    start = system.lattice_coords([h - l for l, h in zip(lo.fc, hi.fc)])
+    root_rcs = [r.rc for r in system.positive_roots]
+    root_fcs = [r.fc for r in system.positive_roots]
+    seen = {start: hi.fc}
+    frontier = [(start, hi.fc)]
+    while frontier:
+        nxt = []
+        for rc, fc in frontier:
+            for root_rc, root_fc in zip(root_rcs, root_fcs):
+                cand_rc = tuple(a - b for a, b in zip(rc, root_rc))
+                if any(x < 0 for x in cand_rc) or cand_rc in seen:
+                    continue
+                cand_fc = tuple(a - b for a, b in zip(fc, root_fc))
+                if any(x < 0 for x in cand_fc):
+                    continue
+                seen[cand_rc] = cand_fc
+                nxt.append((cand_rc, cand_fc))
+        frontier = nxt
+    longest = {tuple(0 for _ in range(system.rank)): 0}
+    for rc in sorted(seen, key=lambda rc: (sum(rc), rc)):
+        prevs = [tuple(a - b for a, b in zip(rc, root_rc)) for root_rc in root_rcs]
+        best = max((longest[p] + 1 for p in prevs if p in longest), default=None)
+        if best is not None and sum(rc):
+            longest[rc] = best
+    return longest[start], set(seen.values())
 
 
 def weyl_orbit(system, weight):

@@ -5,7 +5,6 @@ import pytest
 
 from lieq import build_chevalley, build_root_system
 from lieq.chevalley import AlgebraElement
-from lieq.linalg import rank_of_sparse
 
 
 def algebra(label, rank):

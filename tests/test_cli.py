@@ -180,9 +180,22 @@ def test_text_and_json_encode_identical_reports(tmp_path, capsys):
          "'orbit' must be a string"),
         ({"type": "A", "rank": 2, "partition": "31", "mu": [1, 1], "lambda": [0, 0]},
          "'partition' must be a list of integers"),
+        ({"type": "A", "rank": 2, "partition": [3], "mu": [1, 1, 1], "lambda": [0, 0]},
+         "'mu' has length 3, not rank 2"),
+        ({"type": "A", "rank": 2, "partition": [3], "mu": [1, 1], "lambda": [0]},
+         "'lambda' has length 1, not rank 2"),
+        ({"type": "A", "rank": 2, "partition": [2, 2], "mu": [1, 1], "lambda": [0, 0]},
+         "partition of 4 does not match A2"),
+        ({"type": "B", "rank": 2, "partition": [3], "mu": [1, 1], "lambda": [0, 0]},
+         "partition orbits are a type A construction, not B"),
+        ({"type": "G2", "rank": 3, "orbit": "subregular", "mu": [1, 1], "lambda": [0, 0]},
+         "no finite root system of type G23"),
     ],
 )
-def test_verify_rejects_malformed_entry(tmp_path, capsys, entry, message):
+def test_verify_rejects_malformed_entry(tmp_path, capsys, monkeypatch, entry, message):
+    # every entry is checked before the first one runs
+    ran = []
+    monkeypatch.setattr("lieq.cli.verify_theorem", lambda *args, **kwargs: ran.append(args))
     good = {"type": "A", "rank": 2, "partition": [3], "mu": [1, 1], "lambda": [0, 0]}
     config = tmp_path / "bad.json"
     config.write_text(json.dumps([good, entry]))
@@ -190,6 +203,7 @@ def test_verify_rejects_malformed_entry(tmp_path, capsys, entry, message):
     assert code != 0
     assert out == ""
     assert err.splitlines() == [f"error: verify entry 1: {message}"]
+    assert ran == []
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from lieq import build_root_system, cht, cht_is_zero_fast, star
+from lieq.height import dominant_interval
 
-from oracles import cht_oracle, star_oracle
+from oracles import cht_oracle, cht_two_pass_oracle, star_oracle
 
 BOX_TYPES = [("A", 3), ("B", 3), ("C", 3), ("G2", 2), ("F4", 4)]
 
@@ -65,6 +66,9 @@ def test_cht_reference_values():
     theta = A2.weight(A2.highest_root.fc)
     assert cht(A2.zero_weight() - theta) == 1
     assert not cht_is_zero_fast(A2.zero_weight() - theta)
+    # the corner of criterion 6's F4 box, whose top is 220 levels up
+    F4 = build_root_system("F4", 4)
+    assert cht(F4.weight((-4, -4, -4, -4))) == 194
 
 
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G2", 2)])
@@ -72,6 +76,47 @@ def test_cht_matches_bruteforce_longest_chain(key):
     system = build_root_system(*key)
     for lam in sample_weights(system, 20, bound=3):
         assert cht(lam) == cht_oracle(system, lam)
+
+
+@pytest.mark.parametrize(
+    "key,bound",
+    [(("A", 3), 3), (("B", 3), 3), (("C", 3), 3), (("D", 4), 3), (("G2", 2), 3), (("F4", 4), 2)],
+)
+def test_walk_matches_two_pass_search(key, bound):
+    # same nodes as the breadth-first interval, and the depth of star(lam)
+    # is the longest chain the DP finds
+    system = build_root_system(*key)
+    for fc in itertools.product(range(-bound, bound + 1), repeat=system.rank):
+        lam = system.weight(fc)
+        value, nodes = cht_two_pass_oracle(lam)
+        lo = star(lam)
+        depths = dominant_interval(system, lo, system.weight(system.dominant_weight_fc(fc)))
+        assert set(depths) == nodes
+        assert depths[lo.fc] == value
+        assert cht(lam) == value
+
+
+@pytest.mark.parametrize("key", BOX_TYPES + [("D", 4)])
+def test_one_root_interval(key):
+    # top = one simple root: an interval of two nodes, whose rc fields are
+    # the narrowest the walk packs and whose top fills its fc bound
+    system = build_root_system(*key)
+    for root in system.positive_roots:
+        if root.height != 1:
+            continue
+        for fc in itertools.product(range(4), repeat=system.rank):
+            lo = system.weight(fc)
+            hi = lo + system.weight(root.fc)
+            if hi.is_dominant():
+                assert dominant_interval(system, lo, hi) == {hi.fc: 0, lo.fc: 1}
+
+
+def test_interval_empty_off_the_cone():
+    A2 = build_root_system("A", 2)
+    lo, hi = A2.weight((1, 0)), A2.weight((0, 1))
+    assert dominant_interval(A2, lo, hi) == {}
+    assert dominant_interval(A2, hi, lo) == {}
+    assert dominant_interval(A2, A2.zero_weight(), A2.weight((2, -1))) == {}
 
 
 @pytest.mark.parametrize("key", BOX_TYPES)

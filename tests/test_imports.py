@@ -1,6 +1,6 @@
-"""Every import in the package is used, and so is every private
-function: stand-ins for a linter's unused-import and unused-definition
-rules, built on the standard library's ast."""
+"""Every import in the package and in its tests is used, and so is every
+private function of the package: stand-ins for a linter's unused-import
+and unused-definition rules, built on the standard library's ast."""
 
 import ast
 import collections
@@ -8,9 +8,11 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "lieq"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "lieq"
 # __init__ imports are the public API, re-exported rather than used
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -42,7 +44,7 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(source) == [(1, "os"), (2, "dumps")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

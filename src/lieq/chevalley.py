@@ -18,9 +18,14 @@ from .rootsystem import Root, RootSystem
 
 
 class AlgebraElement:
-    """Sparse vector in the Chevalley basis: {basis index: Fraction}."""
+    """Sparse vector in the Chevalley basis: {basis index: Fraction}.
 
-    __slots__ = ("algebra", "coeffs")
+    An element is a value: arithmetic returns new elements and its
+    `coeffs` are never changed after construction, so facts derived
+    from them, such as `is_nilpotent()`, are decided once and kept on
+    the element."""
+
+    __slots__ = ("algebra", "coeffs", "_nilpotent")
 
     def __init__(self, algebra: "ChevalleyAlgebra", coeffs=None):
         self.algebra = algebra
@@ -31,6 +36,7 @@ class AlgebraElement:
                 if c:
                     clean[idx] = c
         self.coeffs = clean
+        self._nilpotent = None
 
     def __add__(self, other):
         self._check(other)
@@ -58,6 +64,33 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def is_nilpotent(self) -> bool:
+        """Whether ad(self) is nilpotent, by applying ad(self) to every
+        basis vector until all images vanish or dim steps have passed.
+        Decided on the first call and kept."""
+        if self._nilpotent is None:
+            algebra = self.algebra
+            cols = algebra.ad_columns(self)
+            vectors = [{j: Fraction(1)} for j in range(algebra.dim)]
+            for _ in range(algebra.dim):
+                nxt = []
+                for v in vectors:
+                    out: dict = {}
+                    for c, coeff in v.items():
+                        for r, a in cols[c].items():
+                            nv = out.get(r, 0) + coeff * a
+                            if nv:
+                                out[r] = nv
+                            else:
+                                del out[r]
+                    if out:
+                        nxt.append(out)
+                vectors = nxt
+                if not vectors:
+                    break
+            self._nilpotent = not vectors
+        return self._nilpotent
 
     def bracket(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)

@@ -27,7 +27,7 @@ from .orbits import (
 )
 from .qanalog import lusztig_q_analog, q_partition
 from .rootsystem import build_root_system, weyl_group_order
-from .verify import orbit_data, verify_theorem
+from .verify import orbit_data, orbit_labels, verify_theorem
 
 
 def _parse_ints(text: str):
@@ -248,6 +248,14 @@ _ENTRY_VALUES = {
 }
 
 
+def _entry_orbit(inst):
+    """The orbit specification of a verify entry; a partition wins over
+    an orbit name."""
+    if "partition" in inst:
+        return Partition(tuple(inst["partition"]))
+    return inst["orbit"]
+
+
 def _check_verify_entry(k: int, inst) -> None:
     if not isinstance(inst, dict):
         raise ValueError(f"verify entry {k}: must be a JSON object")
@@ -261,8 +269,7 @@ def _check_verify_entry(k: int, inst) -> None:
             raise ValueError(f"verify entry {k}: {key!r} must be {kind}")
     try:
         system = build_root_system(inst["type"], inst["rank"])
-        if "partition" in inst:
-            partition_labels(system, Partition(tuple(inst["partition"])))
+        orbit_labels(system, _entry_orbit(inst))
     except (ValueError, CapExceeded) as exc:
         raise ValueError(f"verify entry {k}: {exc}") from None
     for key in ("mu", "lambda"):
@@ -287,11 +294,7 @@ def cmd_verify(args):
         system = build_root_system(inst["type"], inst["rank"])
         mu = system.weight(inst["mu"])
         lam = system.weight(inst["lambda"])
-        if "partition" in inst:
-            spec = Partition(tuple(inst["partition"]))
-        else:
-            spec = inst["orbit"]
-        report = verify_theorem(system, mu, lam, spec, seed=args.seed)
+        report = verify_theorem(system, mu, lam, _entry_orbit(inst), seed=args.seed)
         reports.append(report)
         if report.certificate.certified and not report.equal:
             failed = True

@@ -11,6 +11,12 @@ reduction per weight decides which f_i.b are new basis vectors.  This
 is the Verma-quotient view of de Graaf, *Lie Algebras: Theory and
 Algorithms* (2000).  Every module carries weight tags and sparse
 generator matrices in its own coordinates.
+
+Filtration: an algebra element x acts on a vector as the sum of its
+basis terms, each an operator that the module builds once from its
+generator matrices and keeps; x itself is never built as a matrix on
+the whole module.  Whether x is nilpotent is decided once per element
+(`AlgebraElement.is_nilpotent`).
 """
 
 from __future__ import annotations
@@ -138,20 +144,24 @@ class ExplicitModule:
                 cols[col] = {k: v * scale for k, v in out.items()}
         return cols
 
-    def apply_element(self, x: AlgebraElement):
-        """Sparse columns of an arbitrary algebra element on the module."""
-        cols: dict = {}
+    def apply_element(self, x: AlgebraElement, vec: dict) -> dict:
+        """x.vec: the sum over x's basis terms c_b of c_b times the
+        operator of basis element b applied to vec."""
+        out: dict = {}
         for basis_index, coeff in x.coeffs.items():
             op = self._basis_operator(basis_index)
-            for col, column in op.items():
-                dest = cols.setdefault(col, {})
-                for row, v in column.items():
-                    nv = dest.get(row, 0) + coeff * v
-                    if nv:
-                        dest[row] = nv
+            for col, c in vec.items():
+                column = op.get(col)
+                if not column:
+                    continue
+                c = coeff * c
+                for row, a in column.items():
+                    v = out.get(row, 0) + c * a
+                    if v:
+                        out[row] = v
                     else:
-                        dest.pop(row, None)
-        return {c: col for c, col in cols.items() if col}
+                        del out[row]
+        return out
 
     def __repr__(self):
         fc = self.highest_weight.fc
@@ -170,29 +180,6 @@ class FiltrationReport:
         return f"FiltrationReport(dims={self.subspace_dims}, r={self.jump_polynomial})"
 
 
-def _is_ad_nilpotent(x: AlgebraElement) -> bool:
-    algebra = x.algebra
-    cols = algebra.ad_columns(x)
-    vectors = [{j: Fraction(1)} for j in range(algebra.dim)]
-    for _ in range(algebra.dim):
-        nxt = []
-        for v in vectors:
-            out: dict = {}
-            for c, coeff in v.items():
-                for r, a in cols[c].items():
-                    nv = out.get(r, 0) + coeff * a
-                    if nv:
-                        out[r] = nv
-                    else:
-                        del out[r]
-            if out:
-                nxt.append(out)
-        if not nxt:
-            return True
-        vectors = nxt
-    return False
-
-
 def bk_jump_polynomial(
     module: ExplicitModule,
     x: AlgebraElement,
@@ -201,19 +188,20 @@ def bk_jump_polynomial(
 ) -> FiltrationReport:
     """Filtration of the Levi-highest subspace at weight lam by kernels
     of successive powers of x; the jump polynomial records dimension
-    increments.  Raises if x is not nilpotent."""
-    if not _is_ad_nilpotent(x):
+    increments.  Raises if x is not nilpotent, which x decides once
+    and keeps; x is applied to the vectors of the space, never built as
+    a matrix on the whole module."""
+    if not x.is_nilpotent():
         raise ValueError("element is not nilpotent on the module")
     space = module.l_highest_space(lam, parabolic)
     total = len(space)
     if total == 0:
         return FiltrationReport([], QPolynomial.zero())
-    cols = module.apply_element(x)
     dims = []
-    current = list(space)
+    current = space
     steps = 0
     while True:
-        current = [module.apply_cols(cols, v) for v in current]
+        current = [module.apply_element(x, v) for v in current]
         dims.append(total - rank_of_sparse(current))
         if all(not v for v in current):
             break

@@ -116,28 +116,37 @@ class VerificationReport:
         }
 
 
-def orbit_data(system: RootSystem, orbit_spec, seed: int = DEFAULT_SEED):
-    """(name, labels, representative) for an orbit specification: a
-    Partition, the string 'principal', or a named built-in orbit."""
-    algebra = build_chevalley(system)
+def orbit_labels(system: RootSystem, orbit_spec):
+    """(name, labels) for an orbit specification: a Partition, the
+    string 'principal', or a named built-in orbit.  Raises ValueError
+    for an unknown name, a partition that does not fit the system, or
+    an orbit that is not even."""
     if orbit_spec == "principal":
-        labels = tuple(2 for _ in range(system.rank))
-        return "principal", labels, principal_nilpotent(algebra)
+        return "principal", tuple(2 for _ in range(system.rank))
     if isinstance(orbit_spec, str):
         table = BUILTIN_ORBITS.get(system.key, {})
         if orbit_spec not in table:
             raise ValueError(
                 f"unknown orbit {orbit_spec!r} for {system.type_label}{system.rank}"
             )
-        labels = table[orbit_spec]
-        return orbit_spec, labels, good_position_representative(algebra, labels, seed)
+        return orbit_spec, table[orbit_spec]
     partition = (
         orbit_spec if isinstance(orbit_spec, Partition) else Partition(tuple(orbit_spec))
     )
     labels = partition_labels(system, partition)
-    if not is_even_labels(labels):
-        raise ValueError(f"orbit of {partition} is not even; no filtration theorem")
     name = "[%s]" % ",".join(str(p) for p in partition)
+    if not is_even_labels(labels):
+        raise ValueError(f"orbit {name} is not even; no filtration theorem")
+    return name, labels
+
+
+def orbit_data(system: RootSystem, orbit_spec, seed: int = DEFAULT_SEED):
+    """(name, labels, representative) for an orbit specification, as
+    in `orbit_labels`."""
+    name, labels = orbit_labels(system, orbit_spec)
+    algebra = build_chevalley(system)
+    if orbit_spec == "principal":
+        return name, labels, principal_nilpotent(algebra)
     return name, labels, good_position_representative(algebra, labels, seed)
 
 

@@ -8,15 +8,20 @@ q-analogs from the plain sum over every Weyl group element, Weyl
 orbits from a walk by simple reflections, and Jordan types from the
 ranks of matrix powers.  cht also has the earlier two-pass search
 (breadth-first interval, then a longest-chain DP) as an oracle for the
-one-pass walk.
+one-pass walk.  An algebra element's action is also built the
+whole-module way: one sparse matrix per element, summed from the
+operators of its basis terms, which the kernel filtration then
+applies; ad-nilpotency comes from powers of the dense matrix of ad(x).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from lieq.height import star
+from lieq.linalg import rank_of_sparse
 from lieq.orbits import Partition
 from lieq.qanalog import dominant_multiplicities, q_partition, weyl_dimension
 from lieq.qpoly import QPolynomial
@@ -245,3 +250,81 @@ def jordan_type_of_nilpotent_matrix(size, rank_fn):
         parts.extend([block_size] * (at_least - longer))
     parts = [p for p in sorted(parts, reverse=True) if p > 0]
     return Partition(tuple(parts))
+
+
+def dominant_weights_with_dim_bound(system, bound):
+    """All dominant weights with Weyl dimension at most the bound.
+    Dimension is monotone in each fundamental coordinate, so prefixes
+    stop growing as soon as the dimension passes the bound."""
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == system.rank:
+            mu = system.weight(prefix)
+            if weyl_dimension(mu) <= bound:
+                out.append(mu)
+                return True
+            return False
+        c = 0
+        any_ok = False
+        while rec(tuple(prefix) + (c,)):
+            any_ok = True
+            c += 1
+        return any_ok
+
+    rec(())
+    return out
+
+
+def operator_columns(module, x):
+    """Sparse columns {col: {row: coeff}} of an algebra element on the
+    whole module: the sum of its basis terms' operator columns."""
+    cols: dict = {}
+    for basis_index, coeff in x.coeffs.items():
+        op = module._basis_operator(basis_index)
+        for col, column in op.items():
+            dest = cols.setdefault(col, {})
+            for row, v in column.items():
+                nv = dest.get(row, 0) + coeff * v
+                if nv:
+                    dest[row] = nv
+                else:
+                    dest.pop(row, None)
+    return {c: col for c, col in cols.items() if col}
+
+
+def filtration_oracle(module, x, lam, parabolic):
+    """(subspace dims, jump polynomial) of the Levi-highest space at lam
+    filtered by kernels of powers of x, with x applied through its
+    whole-module matrix from `operator_columns`."""
+    space = module.l_highest_space(lam, parabolic)
+    total = len(space)
+    if not total:
+        return [], QPolynomial.zero()
+    cols = operator_columns(module, x)
+    dims = []
+    current = space
+    while not dims or dims[-1] < total:
+        if len(dims) > module.dim:
+            raise ValueError("element is not nilpotent on the module")
+        current = [module.apply_cols(cols, v) for v in current]
+        dims.append(total - rank_of_sparse(current))
+    jumps = {n: d - p for n, (p, d) in enumerate(zip([0] + dims, dims))}
+    return dims, QPolynomial(jumps)
+
+
+def ad_nilpotent_oracle(x):
+    """Whether ad(x) is nilpotent: the dense matrix of ad(x), scaled to
+    integers and squared until its exponent reaches the algebra's
+    dimension, is zero."""
+    n = x.algebra.dim
+    ad = x.algebra.ad_matrix(x)
+    scale = math.lcm(*(v.denominator for row in ad for v in row))
+    power, exponent = [[int(v * scale) for v in row] for row in ad], 1
+    while exponent < n:
+        power = [
+            [sum(row[k] * power[k][j] for k in range(n)) for j in range(n)]
+            for row in power
+        ]
+        exponent *= 2
+    return not any(any(row) for row in power)

@@ -30,43 +30,22 @@ from lieq import (
     star,
     verify_theorem,
     weighted_dynkin,
-    weyl_dimension,
 )
 from lieq.orbits import associated_parabolic, levi_dimension
 from lieq.qanalog import dominant_multiplicities
 from lieq.verify import vanishing_certificate
 
-from oracles import partition_poly_oracle, total_dimension_check
+from oracles import (
+    dominant_weights_with_dim_bound,
+    partition_poly_oracle,
+    total_dimension_check,
+)
 
 
 def report(number, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE CRITERION {number}: {status} {detail}".rstrip())
     assert ok, f"criterion {number} failed: {detail}"
-
-
-def dominant_weights_with_dim_bound(system, bound):
-    """All dominant weights with Weyl dimension at most the bound.
-    Dimension is monotone in each fundamental coordinate, so prefixes
-    stop growing as soon as the dimension passes the bound."""
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == system.rank:
-            mu = system.weight(prefix)
-            if weyl_dimension(mu) <= bound:
-                out.append(mu)
-                return True
-            return False
-        c = 0
-        any_ok = False
-        while rec(tuple(prefix) + (c,)):
-            any_ok = True
-            c += 1
-        return any_ok
-
-    rec(())
-    return out
 
 
 def test_criterion_1_worked_example_a3():

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from lieq import build_chevalley, build_root_system
-from lieq.chevalley import AlgebraElement
+from lieq.chevalley import AlgebraElement, ChevalleyAlgebra
+
+from oracles import ad_nilpotent_oracle
 
 
 def algebra(label, rank):
@@ -164,6 +166,51 @@ def test_ad_of_nilpotent_is_nilpotent():
     for _ in range(g.dim + 1):
         vec = apply(vec)
     assert not vec
+
+
+def test_is_nilpotent_on_sl2_elements():
+    g = algebra("A", 1)
+    root = g.system.positive_roots[0]
+    e, f, h = g.x(root), g.x(root, -1), g.h(0)
+    # e - h - f squares to zero in the defining module although it has a
+    # Cartan part, so support in n+ is not what decides nilpotency
+    cases = [(e - h - f, True), (h, False), (e + f, False), (g.zero(), True), (e, True)]
+    for x, expected in cases:
+        assert ad_nilpotent_oracle(x) is expected
+        assert x.is_nilpotent() is expected
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 2), ("G2", 2)])
+def test_is_nilpotent_matches_a_fresh_search(key):
+    g = algebra(*key)
+    rng = random.Random(11)
+    positive = range(g.system.rank, g.system.rank + g.npos)
+    elements = [random_element(g, rng, support) for support in (1, 2, 3, 4) for _ in range(6)]
+    elements += [
+        AlgebraElement(g, {rng.choice(positive): rng.randint(1, 3) for _ in range(3)})
+        + random_element(g, rng, support=1)
+        for _ in range(12)
+    ]
+    verdicts = [ad_nilpotent_oracle(x) for x in elements]
+    assert True in verdicts and False in verdicts
+    assert [x.is_nilpotent() for x in elements] == verdicts
+
+
+def test_is_nilpotent_is_decided_once(monkeypatch):
+    g = algebra("G2", 2)
+    calls = []
+    original = ChevalleyAlgebra.ad_columns
+    monkeypatch.setattr(
+        ChevalleyAlgebra, "ad_columns", lambda self, x: calls.append(x) or original(self, x)
+    )
+    x = g.x(g.system.positive_roots[0]) + g.x(g.system.positive_roots[1])
+    y = g.h(0)
+    for _ in range(3):
+        assert x.is_nilpotent() and not y.is_nilpotent()
+    assert calls == [x, y]
+    # a new element, even an equal one, decides again
+    assert (x + g.zero()).is_nilpotent()
+    assert len(calls) == 3
 
 
 def test_centralizer_of_zero_is_everything():

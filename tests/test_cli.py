@@ -190,6 +190,10 @@ def test_text_and_json_encode_identical_reports(tmp_path, capsys):
          "partition orbits are a type A construction, not B"),
         ({"type": "G2", "rank": 3, "orbit": "subregular", "mu": [1, 1], "lambda": [0, 0]},
          "no finite root system of type G23"),
+        ({"type": "A", "rank": 2, "orbit": "bogus", "mu": [1, 1], "lambda": [0, 0]},
+         "unknown orbit 'bogus' for A2"),
+        ({"type": "A", "rank": 2, "partition": [2, 1], "mu": [1, 1], "lambda": [0, 0]},
+         "orbit [2,1] is not even; no filtration theorem"),
     ],
 )
 def test_verify_rejects_malformed_entry(tmp_path, capsys, monkeypatch, entry, message):

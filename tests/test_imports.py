@@ -1,15 +1,20 @@
 """Every import in the package and in its tests is used, and so is every
 private function of the package: stand-ins for a linter's unused-import
-and unused-definition rules, built on the standard library's ast."""
+and unused-definition rules, built on the standard library's ast.  Every
+name the benchmark's tracer wraps also still exists in the package."""
 
 import ast
 import collections
+import importlib
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "lieq"
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 # __init__ imports are the public API, re-exported rather than used
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_FILES = sorted(TESTS.glob("*.py"))
@@ -96,3 +101,33 @@ def test_checker_flags_an_unused_private_function():
 def test_no_unused_private_functions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_functions(sources) == []
+
+
+def test_traced_names_resolve_in_the_package():
+    """Each function in perfbench's LAYERS is found the way
+    `Tracer.install` finds it: a method in its class's own namespace, a
+    function in its module and at one or more lookup sites in lieq."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    importlib.import_module("lieq")
+    sites = [m for n, m in sys.modules.items() if n == "lieq" or n.startswith("lieq.")]
+    missing = []
+    for layer, quals in tracing.LAYERS.items():
+        module = importlib.import_module(f"lieq.{layer}")
+        for qual in quals:
+            if "." in qual:
+                cls_name, meth = qual.split(".")
+                found = meth in vars(getattr(module, cls_name, object))
+            else:
+                original = getattr(module, qual, None)
+                found = original is not None and any(
+                    value is original for site in sites for value in vars(site).values()
+                )
+            if not found:
+                missing.append(f"{layer}.{qual}")
+    assert missing == []
+    # the counters read these two directly
+    rootsystem = importlib.import_module("lieq.rootsystem")
+    assert "root_coords" in vars(rootsystem.RootSystem)
+    assert callable(rootsystem.weyl_group_order)

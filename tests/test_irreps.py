@@ -6,19 +6,24 @@ import pytest
 from lieq import (
     CapExceeded,
     Caps,
+    Partition,
     build_chevalley,
     build_irrep,
     build_root_system,
     bk_jump_polynomial,
     dominant_multiplicities,
     freudenthal_multiplicity,
+    good_position_representative,
     lusztig_q_analog,
     principal_nilpotent,
     verify_theorem,
     weyl_dimension,
 )
 from lieq.chevalley import AlgebraElement
+from lieq.orbits import BUILTIN_ORBITS, associated_parabolic, partition_labels
 from lieq.qpoly import QPolynomial
+
+from oracles import dominant_weights_with_dim_bound, filtration_oracle, operator_columns
 
 
 # modules whose highest weight is off the root lattice outside type A,
@@ -36,6 +41,17 @@ OFF_ROOT_LATTICE = [
 def module_of(label, rank, fc):
     system = build_root_system(label, rank)
     return system, build_irrep(system, system.weight(fc))
+
+
+def assert_filtration_matches_oracle(module, x, parabolic):
+    """subspace_dims and the jump polynomial at every weight of the
+    module equal the filtration through x's whole-module matrix."""
+    system = module.system
+    for fc in sorted(set(module.weights)):
+        lam = system.weight(fc)
+        report = bk_jump_polynomial(module, x, lam, parabolic)
+        dims, jump = filtration_oracle(module, x, lam, parabolic)
+        assert (report.subspace_dims, report.jump_polynomial) == (dims, jump), fc
 
 
 def test_reference_dimensions():
@@ -137,10 +153,9 @@ def test_apply_element_on_cartan_is_diagonal():
     system, module = module_of("A", 2, (1, 1))
     algebra = build_chevalley(system)
     h = algebra.h(0)
-    cols = module.apply_element(h)
-    for col, column in cols.items():
-        assert set(column) == {col}
-        assert column[col] == module.weights[col][0]
+    for idx, fc in enumerate(module.weights):
+        expected = {idx: fc[0]} if fc[0] else {}
+        assert module.apply_element(h, {idx: Fraction(1)}) == expected
 
 
 def test_apply_element_matches_defining_matrix_units():
@@ -149,11 +164,15 @@ def test_apply_element_matches_defining_matrix_units():
     module = build_irrep(system, system.fundamental_weight(0))
     algebra = build_chevalley(system)
     x = algebra.x(system._root_by_rc[(0, 1, 1)])
-    cols = module.apply_element(x)
+    images = {
+        col: image
+        for col in range(module.dim)
+        if (image := module.apply_element(x, {col: Fraction(1)}))
+    }
     # alpha2+alpha3 moves the fourth ladder vector up to the second one
-    assert len(cols) == 1
-    (col, column), = cols.items()
-    (row, value), = column.items()
+    assert len(images) == 1
+    (col, image), = images.items()
+    (row, value), = image.items()
     assert abs(value) == 1
     assert module.weights[col] == (0, 0, -1)
     assert module.weights[row] == (-1, 1, 0)
@@ -170,16 +189,35 @@ def test_apply_element_is_a_representation_on_samples():
         y = AlgebraElement(
             algebra, {rng.randrange(algebra.dim): rng.randint(-2, 2) for _ in range(2)}
         )
-        mx, my = module.apply_element(x), module.apply_element(y)
-        mxy = module.apply_element(x.bracket(y))
+        xy = x.bracket(y)
         for idx in range(module.dim):
             unit = {idx: Fraction(1)}
-            lhs = module.apply_cols(mx, module.apply_cols(my, unit))
-            rhs = module.apply_cols(my, module.apply_cols(mx, unit))
+            lhs = module.apply_element(x, module.apply_element(y, unit))
+            rhs = module.apply_element(y, module.apply_element(x, unit))
             for k, v in rhs.items():
                 lhs[k] = lhs.get(k, 0) - v
             lhs = {k: v for k, v in lhs.items() if v}
-            assert lhs == module.apply_cols(mxy, unit)
+            assert lhs == module.apply_element(xy, unit)
+
+
+@pytest.mark.parametrize(
+    "key,fc", [(("A", 2), (1, 1)), (("B", 2), (1, 1)), (("G2", 2), (1, 0))] + OFF_ROOT_LATTICE
+)
+def test_apply_element_matches_operator_columns(key, fc):
+    system, module = module_of(key[0], key[1], fc)
+    algebra = build_chevalley(system)
+    rng = random.Random(5)
+    for _ in range(6):
+        x = AlgebraElement(
+            algebra, {rng.randrange(algebra.dim): rng.randint(-3, 3) for _ in range(4)}
+        )
+        cols = operator_columns(module, x)
+        vec = {
+            rng.randrange(module.dim): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for _ in range(5)
+        }
+        vec = {k: v for k, v in vec.items() if v}
+        assert module.apply_element(x, vec) == module.apply_cols(cols, vec)
 
 
 def test_principal_jump_polynomial_on_sl2_adjoint():
@@ -201,8 +239,6 @@ def test_jump_polynomial_of_reference_instances():
     G2 = build_root_system("G2", 2)
     W = build_irrep(G2, G2.weight((0, 1)))
     gg = build_chevalley(G2)
-    from lieq import good_position_representative
-
     rep = good_position_representative(gg, (0, 2))
     report = bk_jump_polynomial(W, rep, G2.zero_weight(), G2.parabolic([0]))
     assert report.jump_polynomial == QPolynomial({1: 1})
@@ -226,8 +262,10 @@ def test_non_nilpotent_element_raises():
     root = system.positive_roots[0]
     semisimple = algebra.x(root) + algebra.x(root, -1)
     for bad in (algebra.h(0), semisimple):
-        with pytest.raises(ValueError):
-            bk_jump_polynomial(module, bad, system.zero_weight(), system.borel())
+        # the verdict is kept on the element; the second call raises too
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not nilpotent"):
+                bk_jump_polynomial(module, bad, system.zero_weight(), system.borel())
 
 
 def test_jump_polynomial_for_zero_orbit():
@@ -313,9 +351,40 @@ def test_principal_filtration_off_root_lattice(key, fc):
         lam = system.weight(lam_fc)
         r = bk_jump_polynomial(module, e, lam, borel).jump_polynomial
         assert r == lusztig_q_analog(mu, lam, borel)
+    assert_filtration_matches_oracle(module, e, borel)
 
 
 def test_non_dominant_highest_weight_rejected():
     A2 = build_root_system("A", 2)
     with pytest.raises(ValueError):
         build_irrep(A2, A2.weight((-1, 0)))
+
+
+@pytest.mark.parametrize("key", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G2", 2)])
+def test_principal_filtration_matches_whole_module_matrix(key):
+    system = build_root_system(*key)
+    e = principal_nilpotent(build_chevalley(system))
+    for mu in dominant_weights_with_dim_bound(system, 60):
+        assert_filtration_matches_oracle(build_irrep(system, mu), e, system.borel())
+
+
+@pytest.mark.parametrize(
+    "key,orbit,bound",
+    [
+        (("A", 3), (2, 2), 60),
+        (("A", 3), (3, 1), 60),
+        (("A", 4), (3, 1, 1), 50),
+        (("G2", 2), "subregular", 60),
+    ],
+    ids=["A3-2,2", "A3-3,1", "A4-3,1,1", "G2-subregular"],
+)
+def test_good_position_filtration_matches_whole_module_matrix(key, orbit, bound):
+    system = build_root_system(*key)
+    if isinstance(orbit, str):
+        labels = BUILTIN_ORBITS[key][orbit]
+    else:
+        labels = partition_labels(system, Partition(orbit))
+    x = good_position_representative(build_chevalley(system), labels)
+    parabolic = associated_parabolic(system, labels)
+    for mu in dominant_weights_with_dim_bound(system, bound):
+        assert_filtration_matches_oracle(build_irrep(system, mu), x, parabolic)

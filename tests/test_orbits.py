@@ -18,7 +18,7 @@ from lieq import (
 from lieq.linalg import rank_of_sparse
 from lieq.orbits import grade_of_root, levi_dimension
 
-from oracles import jordan_type_of_nilpotent_matrix
+from oracles import jordan_type_of_nilpotent_matrix, operator_columns
 
 
 def test_partition_validation():
@@ -169,7 +169,7 @@ def test_orbit_rep_has_the_right_jordan_type(parts):
     algebra = build_chevalley(system)
     rep = good_position_representative(algebra, weighted_dynkin(partition))
     module = build_irrep(system, system.fundamental_weight(0))
-    cols = module.apply_element(rep)
+    cols = operator_columns(module, rep)
 
     def rank_of_power(k):
         vecs = []

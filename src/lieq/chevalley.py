@@ -5,15 +5,17 @@ root, positive roots first.  Structure-constant signs are fixed by
 giving every extraspecial pair the sign +; all remaining constants are
 forced from those through antisymmetry, the Chevalley involution, and
 the cyclic identity  N(a,b)/|c|^2 = N(b,c)/|a|^2 = N(c,a)/|b|^2  for
-roots with a+b+c = 0.  The Jacobi identity is checked by the test
-suite, not at construction.
+roots with a+b+c = 0.  The constants are plain ints, and the algebra
+keeps them as one sparse ad map per basis element,
+_ad[i] = {j: [b_i, b_j]}, from which brackets and ad(x) are read.  The
+Jacobi identity is checked by the test suite, not at construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import rank_of_sparse
+from .linalg import add_scaled, rank_of_sparse
 from .rootsystem import Root, RootSystem
 
 
@@ -40,14 +42,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            v = out.get(idx, 0) + c
-            if v:
-                out[idx] = v
-            else:
-                out.pop(idx, None)
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement(self.algebra, add_scaled(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -78,12 +73,7 @@ class AlgebraElement:
                 for v in vectors:
                     out: dict = {}
                     for c, coeff in v.items():
-                        for r, a in cols[c].items():
-                            nv = out.get(r, 0) + coeff * a
-                            if nv:
-                                out[r] = nv
-                            else:
-                                del out[r]
+                        add_scaled(out, cols[c], coeff)
                     if out:
                         nxt.append(out)
                 vectors = nxt
@@ -131,7 +121,7 @@ class ChevalleyAlgebra:
         # signed roots: (+1, root) at rank+idx, (-1, root) at rank+npos+idx
         self._pos_n: dict = {}
         self._build_positive_table()
-        self._table = self._build_bracket_table()
+        self._ad = self._build_ad()
 
     # -- indexing -------------------------------------------------------
 
@@ -284,44 +274,38 @@ class ChevalleyAlgebra:
             raise RuntimeError("non-integral mixed structure constant; bug")
         return int(value)
 
-    def _build_bracket_table(self):
-        """Sparse brackets for every ordered basis pair (i < j)."""
-        table: dict = {}
+    def _build_ad(self) -> list:
+        """_ad[i] = {j: [b_i, b_j]} over the nonzero brackets; each pair
+        i < j is computed once and its negation kept at _ad[j][i]."""
+        kinds = [self.index_data(i) for i in range(self.dim)]
+        ad: list = [{} for _ in range(self.dim)]
         for i in range(self.dim):
-            kind_i = self.index_data(i)
             for j in range(i + 1, self.dim):
-                entry = self._basis_bracket(kind_i, self.index_data(j))
+                entry = self._basis_bracket(kinds[i], kinds[j])
                 if entry:
-                    table[(i, j)] = entry
-        return table
+                    ad[i][j] = entry
+                    ad[j][i] = {k: -v for k, v in entry.items()}
+        return ad
 
     def _basis_bracket(self, a, b) -> dict:
-        system = self.system
+        """[a, b] with int coefficients for the kinds (see `index_data`)
+        of two basis elements, a before b, so an x never precedes an h."""
         if a[0] == "h" and b[0] == "h":
             return {}
         if a[0] == "h" and b[0] == "x":
             _, i = a
             _, sign, root = b
             c = sign * root.fc[i]
-            return {self.x_index(root, sign): Fraction(c)} if c else {}
-        if a[0] == "x" and b[0] == "h":
-            out = self._basis_bracket(b, a)
-            return {k: -v for k, v in out.items()}
+            return {self.x_index(root, sign): c} if c else {}
         _, sign_b, beta = a
         _, sign_g, gamma = b
         rc = tuple(
             sign_b * x + sign_g * y for x, y in zip(beta.rc, gamma.rc)
         )
         if not any(rc):
-            # [X_beta, X_-beta] = beta^vee = sum_j c_j (norm_j/norm_beta) H_j
-            coeffs = {}
-            for j, c in enumerate(beta.rc):
-                if c:
-                    val = Fraction(c * system.simple_norms[j], beta.norm_sq)
-                    coeffs[self.h_index(j)] = coeffs.get(self.h_index(j), 0) + (
-                        val if sign_b > 0 else -val
-                    )
-            return {k: v for k, v in coeffs.items() if v}
+            # [X_beta, X_-beta] = beta^vee in the simple coroots H_j
+            coroot = enumerate(beta.coroot_fc)
+            return {self.h_index(j): sign_b * c for j, c in coroot if c}
         target = self.system._root_by_rc.get(rc)
         sign_out = 1
         if target is None:
@@ -330,36 +314,28 @@ class ChevalleyAlgebra:
         if target is None:
             return {}
         n = self._n_signed(sign_b, beta, sign_g, gamma)
-        return {self.x_index(target, sign_out): Fraction(n)}
+        return {self.x_index(target, sign_out): n}
 
     # -- operations ---------------------------------------------------------
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+        """Sum of x_i * y_j * [b_i, b_j] over the ad table."""
         out: dict = {}
         for i, ci in x.coeffs.items():
+            row = self._ad[i]
             for j, cj in y.coeffs.items():
-                if i == j:
-                    continue
-                if i < j:
-                    entry, s = self._table.get((i, j)), 1
-                else:
-                    entry, s = self._table.get((j, i)), -1
+                entry = row.get(j)
                 if entry:
-                    c = ci * cj * s
-                    for k, v in entry.items():
-                        nv = out.get(k, 0) + c * v
-                        if nv:
-                            out[k] = nv
-                        else:
-                            out.pop(k, None)
+                    add_scaled(out, entry, ci * cj)
         return AlgebraElement(self, out)
 
     def ad_columns(self, x: AlgebraElement) -> list:
-        """Columns of ad(x) as sparse dicts: column j is [x, basis_j]."""
-        cols = []
-        for j in range(self.dim):
-            unit = AlgebraElement(self, {j: 1})
-            cols.append(self.bracket(x, unit).coeffs)
+        """Columns of ad(x) as sparse dicts: column j is [x, basis_j],
+        the sum of x_i * _ad[i][j]."""
+        cols: list = [{} for _ in range(self.dim)]
+        for i, ci in x.coeffs.items():
+            for j, entry in self._ad[i].items():
+                add_scaled(cols[j], entry, ci)
         return cols
 
     def ad_matrix(self, x: AlgebraElement) -> list:
@@ -382,7 +358,7 @@ class ChevalleyAlgebra:
         return tuple(sign * x for x in root.fc)
 
     def __repr__(self):
-        return f"ChevalleyAlgebra({self.system.type_label}{self.system.rank})"
+        return f"ChevalleyAlgebra({self.system.name})"
 
 
 def build_chevalley(system: RootSystem) -> ChevalleyAlgebra:

@@ -81,7 +81,7 @@ def cmd_roots(args):
         "weyl_order": weyl_group_order(system.type_label, system.rank),
     }
     lines = [
-        f"root system {system.type_label}{system.rank}",
+        f"root system {system.name}",
         "cartan matrix: " + "; ".join(str(list(r)) for r in system.cartan_matrix),
         f"positive roots ({len(roots)}):",
     ]
@@ -288,23 +288,23 @@ def cmd_verify(args):
         return 2
     for k, inst in enumerate(instances):
         _check_verify_entry(k, inst)
-    reports = []
+    reports = []  # (system name, report)
     failed = False
     for inst in instances:
         system = build_root_system(inst["type"], inst["rank"])
         mu = system.weight(inst["mu"])
         lam = system.weight(inst["lambda"])
         report = verify_theorem(system, mu, lam, _entry_orbit(inst), seed=args.seed)
-        reports.append(report)
+        reports.append((system.name, report))
         if report.certificate.certified and not report.equal:
             failed = True
     if args.json:
-        print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))
+        print(json.dumps([r.to_json() for _, r in reports], indent=2, sort_keys=True))
     else:
-        for r in reports:
+        for name, r in reports:
             status = "OK " if r.equal else ("?? " if not r.certificate.certified else "FAIL")
             print(
-                f"{status} {r.system_key[0]}{r.system_key[1]} orbit={r.orbit} "
+                f"{status} {name} orbit={r.orbit} "
                 f"mu={list(r.mu)} lambda={list(r.lam)} "
                 f"cert={r.certificate.verdict} r={r.r} m={r.m}"
             )

@@ -14,8 +14,10 @@ generator matrices in its own coordinates.
 
 Filtration: an algebra element x acts on a vector as the sum of its
 basis terms, each an operator that the module builds once from its
-generator matrices and keeps; x itself is never built as a matrix on
-the whole module.  Whether x is nilpotent is decided once per element
+generator matrices and keeps (a non-simple root vector as a commutator
+of two such column maps); x itself is never built as a matrix on the
+whole module.  Every sparse update goes through `linalg.add_scaled`.
+Whether x is nilpotent is decided once per element
 (`AlgebraElement.is_nilpotent`).
 """
 
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_chevalley
 from .config import CapExceeded
-from .linalg import rank_of_sparse, sparse_nullspace
+from .linalg import add_scaled, rank_of_sparse, sparse_nullspace
 from .qanalog import weyl_dimension
 from .qpoly import QPolynomial
 from .rootsystem import Parabolic, RootSystem, Weight
@@ -74,12 +76,9 @@ class ExplicitModule:
     def apply_cols(self, cols, vec: dict) -> dict:
         out: dict = {}
         for col, c in vec.items():
-            for row, a in cols.get(col, {}).items():
-                v = out.get(row, 0) + c * a
-                if v:
-                    out[row] = v
-                else:
-                    del out[row]
+            column = cols.get(col)
+            if column:
+                add_scaled(out, column, c)
         return out
 
     def _basis_operator(self, basis_index: int):
@@ -104,42 +103,30 @@ class ExplicitModule:
                 raw = self.e_cols[i] if sign > 0 else self.f_cols[i]
                 cols = {c: dict(col) for c, col in raw.items()}
             else:
-                i = next(
-                    k
-                    for k, c in enumerate(root.rc)
-                    if c
-                    and tuple(
-                        a - (1 if j == k else 0) for j, a in enumerate(root.rc)
-                    )
-                    in self.system._root_by_rc
+                # X_root = [X_a, X_rest] / N for the first simple root a
+                # whose removal leaves a root, N read from the ad table
+                by_rc = self.system._root_by_rc
+                for i in range(self.system.rank):
+                    unit = tuple(int(j == i) for j in range(self.system.rank))
+                    rest = by_rc.get(tuple(a - b for a, b in zip(root.rc, unit)))
+                    if rest is not None:
+                        break
+                first = algebra.x_index(by_rc[unit], sign)
+                second = algebra.x_index(rest, sign)
+                scale = Fraction(1, algebra._ad[first][second][basis_index])
+                cols = self._commutator_cols(
+                    self._basis_operator(first), self._basis_operator(second), scale
                 )
-                rest_rc = tuple(
-                    a - (1 if j == i else 0) for j, a in enumerate(root.rc)
-                )
-                simple = self.system._root_by_rc[
-                    tuple(1 if j == i else 0 for j in range(self.system.rank))
-                ]
-                rest = self.system._root_by_rc[rest_rc]
-                n_const = algebra._n_signed(sign, simple, sign, rest)
-                first = self._basis_operator(algebra.x_index(simple, sign))
-                second = self._basis_operator(algebra.x_index(rest, sign))
-                cols = self._commutator_cols(first, second, Fraction(1, n_const))
         self._operator_cache[basis_index] = cols
         return cols
 
     def _commutator_cols(self, a, b, scale: Fraction):
+        """Columns of scale * [a, b] from the columns of a and b: column
+        col is a(b[col]) - b(a[col]), zero outside both maps' columns."""
         cols = {}
-        for col in range(self.dim):
-            unit = {col: Fraction(1)}
-            vec = self.apply_cols(a, self.apply_cols(b, unit))
-            back = self.apply_cols(b, self.apply_cols(a, unit))
-            out = dict(vec)
-            for k, v in back.items():
-                nv = out.get(k, 0) - v
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
+        for col in sorted(a.keys() | b.keys()):
+            out = self.apply_cols(a, b.get(col, {}))
+            add_scaled(out, self.apply_cols(b, a.get(col, {})), -1)
             if out:
                 cols[col] = {k: v * scale for k, v in out.items()}
         return cols
@@ -152,15 +139,8 @@ class ExplicitModule:
             op = self._basis_operator(basis_index)
             for col, c in vec.items():
                 column = op.get(col)
-                if not column:
-                    continue
-                c = coeff * c
-                for row, a in column.items():
-                    v = out.get(row, 0) + c * a
-                    if v:
-                        out[row] = v
-                    else:
-                        del out[row]
+                if column:
+                    add_scaled(out, column, coeff * c)
         return out
 
     def __repr__(self):
@@ -238,18 +218,8 @@ class _WeightEchelon:
             p = min(hits)
             row, row_expr = self.rows[p]
             c = vec[p]
-            for k, v in row.items():
-                nv = vec.get(k, 0) - c * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-            for k, v in row_expr.items():
-                nv = expr.get(k, 0) + c * v
-                if nv:
-                    expr[k] = nv
-                else:
-                    expr.pop(k, None)
+            add_scaled(vec, row, -c)
+            add_scaled(expr, row_expr, c)
         return vec, expr
 
     def insert(self, residue: dict, module_index: int):

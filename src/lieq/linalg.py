@@ -1,6 +1,8 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are dicts from a sortable key to a coefficient.  Row reduction
+Vectors are dicts from a sortable key to a coefficient, and
+`add_scaled` is the one sparse update (out += c * vec, zeros dropped)
+that the algebra and module actions share.  Row reduction
 is done on integer-rescaled rows (rescaling a row changes neither rank
 nor kernel), with gcd normalization to keep entries small, and pivots
 taken at the least key.  Kernel bases come out of a reduced echelon form
@@ -12,6 +14,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def add_scaled(out: dict, vec: dict, c=1) -> dict:
+    """out += c * vec in place, dropping every key whose coefficient
+    becomes zero; returns out."""
+    for k, v in vec.items():
+        nv = out.get(k, 0) + c * v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+    return out
 
 
 def _sparse_row_to_int(row: dict) -> dict:
@@ -74,13 +88,7 @@ def sparse_nullspace(rows, columns) -> list[dict]:
         row = {k: Fraction(v) for k, v in pivots[p].items()}
         for k in [k for k in row if k != p and k in reduced]:
             c = row.pop(k)
-            for kk, vv in reduced[k].items():
-                if kk != k:
-                    nv = row.get(kk, 0) - c * vv
-                    if nv:
-                        row[kk] = nv
-                    else:
-                        row.pop(kk, None)
+            add_scaled(row, reduced[k], -c)
         lead = row[p]
         reduced[p] = {k: v / lead for k, v in row.items() if k != p}
     basis = []

@@ -51,6 +51,9 @@ BUILTIN_ORBITS = {
     ("G2", 2): {"subregular": (0, 2)},
 }
 
+# Draws `good_position_representative` makes before it gives up.
+MAX_DRAWS = 50
+
 
 def partitions_of(n: int):
     """All partitions of n, largest part first, in lexicographic order."""
@@ -121,11 +124,11 @@ def grade_of_root(root, labels) -> int:
 
 
 def good_position_representative(
-    algebra: ChevalleyAlgebra, labels, seed: int = DEFAULT_SEED, max_draws: int = 50
+    algebra: ChevalleyAlgebra, labels, seed: int = DEFAULT_SEED
 ) -> AlgebraElement:
     """A Richardson-validated element of the eigenvalue-2 subspace for an
     even diagram.  The first draw uses all-ones coefficients, further
-    draws use small seeded integers; failure after max_draws signals a
+    draws use small seeded integers; failure after MAX_DRAWS signals a
     non-even or malformed diagram."""
     system = algebra.system
     labels = tuple(labels)
@@ -136,7 +139,7 @@ def good_position_representative(
     grade2 = [r for r in system.positive_roots if grade_of_root(r, labels) == 2]
     target = levi_dimension(system, associated_parabolic(system, labels))
     rng = random.Random(seed)
-    for draw in range(max_draws):
+    for draw in range(MAX_DRAWS):
         if draw == 0:
             coeffs = [1] * len(grade2)
         else:
@@ -148,5 +151,5 @@ def good_position_representative(
             return cand
     raise ValueError(
         f"no Richardson representative found for labels {labels} "
-        f"after {max_draws} draws"
+        f"after {MAX_DRAWS} draws"
     )

@@ -304,6 +304,8 @@ class RootSystem:
         cartan, norms = _cartan_and_norms(type_label, rank)
         self.type_label = type_label
         self.rank = rank
+        # "A3", "G2", "F4": the G2 and F4 labels already carry the rank
+        self.name = type_label if type_label[-1].isdigit() else f"{type_label}{rank}"
         self.caps = caps
         self.key = (type_label, rank)
         self.cartan_matrix = tuple(tuple(row) for row in cartan)
@@ -565,7 +567,7 @@ class RootSystem:
         return Weight(self, [a - 1 for a in moved])
 
     def __repr__(self):
-        return f"RootSystem({self.type_label}{self.rank})"
+        return f"RootSystem({self.name})"
 
 
 @functools.lru_cache(maxsize=None)

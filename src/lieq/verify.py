@@ -126,9 +126,7 @@ def orbit_labels(system: RootSystem, orbit_spec):
     if isinstance(orbit_spec, str):
         table = BUILTIN_ORBITS.get(system.key, {})
         if orbit_spec not in table:
-            raise ValueError(
-                f"unknown orbit {orbit_spec!r} for {system.type_label}{system.rank}"
-            )
+            raise ValueError(f"unknown orbit {orbit_spec!r} for {system.name}")
         return orbit_spec, table[orbit_spec]
     partition = (
         orbit_spec if isinstance(orbit_spec, Partition) else Partition(tuple(orbit_spec))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -245,6 +247,36 @@ def test_mismatched_algebras_raise():
     g2 = algebra("A", 3)
     with pytest.raises(ValueError):
         g1.h(0).bracket(g2.h(0))
+
+
+# sha256 prefix of every nonzero basis bracket, as [i, j, sorted (k, str(v))]
+BRACKET_DIGESTS = {
+    ("A", 1): "f66798beb524",
+    ("A", 2): "4483a4cd4ffe",
+    ("A", 3): "fbc3f69129db",
+    ("A", 4): "6c8f355ecdfa",
+    ("B", 2): "2d1399807669",
+    ("B", 3): "de993b09634f",
+    ("B", 4): "18bdad33ee6a",
+    ("C", 3): "ced638ac6daa",
+    ("D", 4): "ba92ac65f229",
+    ("G2", 2): "3eded5fc9807",
+    ("F4", 4): "f90975832d34",
+}
+
+
+@pytest.mark.parametrize("key", list(BRACKET_DIGESTS), ids=lambda k: f"{k[0]}{k[1]}")
+def test_basis_brackets_are_pinned(key):
+    g = algebra(*key)
+    basis = [AlgebraElement(g, {i: 1}) for i in range(g.dim)]
+    rows = []
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            coeffs = g.bracket(x, y).coeffs
+            if coeffs:
+                rows.append([i, j, sorted((k, str(v)) for k, v in coeffs.items())])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:12]
+    assert digest == BRACKET_DIGESTS[key]
 
 
 def test_structure_constants_are_pm_string_length():

@@ -26,6 +26,15 @@ def test_roots_text_and_json_agree(capsys):
     assert data["rho"] == [1, 1]
 
 
+@pytest.mark.parametrize(
+    "type_label,rank,name", [("A", 3, "A3"), ("G2", 2, "G2"), ("F4", 4, "F4")]
+)
+def test_roots_header_names_the_system(capsys, type_label, rank, name):
+    code, out, _ = run_cli(capsys, "roots", "--type", type_label, "--rank", str(rank))
+    assert code == 0
+    assert out.splitlines()[0] == f"root system {name}"
+
+
 def test_roots_prints_weyl_order_above_the_weyl_cap(capsys):
     code, out, _ = run_cli(capsys, "roots", "--type", "A", "--rank", "6")
     assert code == 0
@@ -141,6 +150,7 @@ def test_verify_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--config", str(config))
     assert code == 0
     assert out.count("OK") == 3
+    assert [line.split()[1] for line in out.splitlines()] == ["A3", "G2", "A2"]
     code, out, _ = run_cli(capsys, "verify", "--config", str(config), "--json")
     data = json.loads(out)
     assert [r["equal"] for r in data] == [True, True, True]
@@ -194,6 +204,8 @@ def test_text_and_json_encode_identical_reports(tmp_path, capsys):
          "unknown orbit 'bogus' for A2"),
         ({"type": "A", "rank": 2, "partition": [2, 1], "mu": [1, 1], "lambda": [0, 0]},
          "orbit [2,1] is not even; no filtration theorem"),
+        ({"type": "G2", "rank": 2, "orbit": "regular", "mu": [1, 1], "lambda": [0, 0]},
+         "unknown orbit 'regular' for G2"),
     ],
 )
 def test_verify_rejects_malformed_entry(tmp_path, capsys, monkeypatch, entry, message):
@@ -246,7 +258,7 @@ def test_unknown_orbit_name(capsys):
         capsys, "orbit", "--type", "G2", "--rank", "2", "--orbit", "nope"
     )
     assert code == 1
-    assert "unknown orbit" in err
+    assert "unknown orbit 'nope' for G2" in err
 
 
 @pytest.mark.parametrize("name,value", [("LIEQ_RANK_CAP", "abc"), ("LIEQ_MODULE_CAP", "0")])

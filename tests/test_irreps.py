@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -178,17 +180,9 @@ def test_apply_element_matches_defining_matrix_units():
     assert module.weights[row] == (-1, 1, 0)
 
 
-def test_apply_element_is_a_representation_on_samples():
-    system, module = module_of("A", 2, (1, 1))
-    algebra = build_chevalley(system)
-    rng = random.Random(3)
-    for _ in range(8):
-        x = AlgebraElement(
-            algebra, {rng.randrange(algebra.dim): rng.randint(-2, 2) for _ in range(2)}
-        )
-        y = AlgebraElement(
-            algebra, {rng.randrange(algebra.dim): rng.randint(-2, 2) for _ in range(2)}
-        )
+def assert_representation(module, pairs):
+    """[x, y] acts as x y - y x on every unit vector, for each pair."""
+    for x, y in pairs:
         xy = x.bracket(y)
         for idx in range(module.dim):
             unit = {idx: Fraction(1)}
@@ -198,6 +192,56 @@ def test_apply_element_is_a_representation_on_samples():
                 lhs[k] = lhs.get(k, 0) - v
             lhs = {k: v for k, v in lhs.items() if v}
             assert lhs == module.apply_element(xy, unit)
+
+
+def test_apply_element_is_a_representation_on_samples():
+    system, module = module_of("A", 2, (1, 1))
+    algebra = build_chevalley(system)
+    rng = random.Random(3)
+    samples = []
+    for _ in range(8):
+        x = AlgebraElement(
+            algebra, {rng.randrange(algebra.dim): rng.randint(-2, 2) for _ in range(2)}
+        )
+        y = AlgebraElement(
+            algebra, {rng.randrange(algebra.dim): rng.randint(-2, 2) for _ in range(2)}
+        )
+        samples.append((x, y))
+    assert_representation(module, samples)
+    # every basis pair on modules that need non-simple root operators
+    for key, fc in [(("B", 2), (1, 1)), (("G2", 2), (1, 0)),
+                    (("A", 3), (1, 0, 1)), (("C", 3), (1, 0, 0))]:
+        system, module = module_of(key[0], key[1], fc)
+        algebra = build_chevalley(system)
+        basis = [AlgebraElement(algebra, {i: 1}) for i in range(algebra.dim)]
+        assert_representation(module, [(x, y) for x in basis for y in basis])
+
+
+# sha256 prefix of every basis operator on the module, as
+# [[(col, sorted (row, str(v))) for each nonzero column] per basis element]
+OPERATOR_DIGESTS = [
+    (("A", 3), (1, 0, 1), "779cbd6a6bcd"),
+    (("B", 2), (1, 1), "68de94383526"),
+    (("C", 3), (1, 0, 0), "2fac7fb9305a"),
+    (("G2", 2), (1, 0), "296225a4099b"),
+    (("F4", 4), (0, 0, 0, 1), "4193522a9929"),
+]
+
+
+@pytest.mark.parametrize("key,fc,digest", OPERATOR_DIGESTS)
+def test_basis_operators_are_pinned(key, fc, digest):
+    system, module = module_of(key[0], key[1], fc)
+    algebra = build_chevalley(system)
+    ops = []
+    for b in range(algebra.dim):
+        x = AlgebraElement(algebra, {b: 1})
+        op = []
+        for col in range(module.dim):
+            image = module.apply_element(x, {col: Fraction(1)})
+            if image:
+                op.append((col, sorted((row, str(v)) for row, v in image.items())))
+        ops.append(op)
+    assert hashlib.sha256(json.dumps(ops).encode()).hexdigest()[:12] == digest
 
 
 @pytest.mark.parametrize(

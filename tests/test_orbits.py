@@ -16,7 +16,7 @@ from lieq import (
     weighted_dynkin,
 )
 from lieq.linalg import rank_of_sparse
-from lieq.orbits import grade_of_root, levi_dimension
+from lieq.orbits import MAX_DRAWS, grade_of_root, levi_dimension
 
 from oracles import jordan_type_of_nilpotent_matrix, operator_columns
 
@@ -94,6 +94,13 @@ def test_good_position_rejects_odd_labels():
     g = build_chevalley(build_root_system("A", 3))
     with pytest.raises(ValueError):
         good_position_representative(g, (1, 0, 1))
+
+
+def test_good_position_gives_up_after_max_draws():
+    # with the 2 on the short node of G2 no grade-2 element is Richardson
+    g = build_chevalley(build_root_system("G2", 2))
+    with pytest.raises(ValueError, match=rf"labels \(2, 0\) after {MAX_DRAWS} draws"):
+        good_position_representative(g, (2, 0))
 
 
 def test_the_handmade_good_position_element_is_accepted():

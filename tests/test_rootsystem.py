@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from lieq import CapExceeded, Caps, build_root_system
+from lieq import CapExceeded, Caps, build_chevalley, build_root_system
 from lieq.rootsystem import weyl_group_order
 
 from oracles import fraction_cartan_inverse, fraction_inner, fraction_root_coords, weyl_orbit
@@ -252,6 +252,14 @@ def test_invalid_type_rank():
         build_root_system("E", 6)
     with pytest.raises(CapExceeded):
         build_root_system("A", 9)
+
+
+@pytest.mark.parametrize("key,name", [(("A", 3), "A3"), (("G2", 2), "G2"), (("F4", 4), "F4")])
+def test_system_name_carries_the_rank_once(key, name):
+    system = build_root_system(*key)
+    assert system.name == name
+    assert repr(system) == f"RootSystem({name})"
+    assert repr(build_chevalley(system)) == f"ChevalleyAlgebra({name})"
 
 
 def test_parabolic_data():

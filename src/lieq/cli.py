@@ -15,7 +15,7 @@ import sys
 from .chevalley import build_chevalley
 from .config import DEFAULT_SEED, CapExceeded
 from .height import cht, cht_is_zero_fast, star
-from .irreps import bk_jump_polynomial, build_irrep
+from .irreps import _capped_dimension, bk_jump_polynomial, build_irrep
 from .orbits import (
     Partition,
     associated_parabolic,
@@ -44,9 +44,11 @@ def _weight_from(system, text: str, root_coords: bool):
 
 
 def _parabolic_from(system, text):
-    if not text:
-        return system.borel()
-    return system.parabolic([i - 1 for i in _parse_ints(text)])
+    nodes = _parse_ints(text)
+    for node in nodes:
+        if not 1 <= node <= system.rank:
+            raise ValueError(f"parabolic node {node} is not in 1..{system.rank}")
+    return system.parabolic([node - 1 for node in nodes])
 
 
 def _add_system_args(parser):
@@ -270,14 +272,15 @@ def _check_verify_entry(k: int, inst) -> None:
     try:
         system = build_root_system(inst["type"], inst["rank"])
         orbit_labels(system, _entry_orbit(inst))
+        for key in ("mu", "lambda"):
+            if len(inst[key]) != system.rank:
+                raise ValueError(
+                    f"{key!r} has length {len(inst[key])}, not rank {system.rank}"
+                )
+        _capped_dimension(system, system.weight(inst["mu"]))
+        system.weyl_order()
     except (ValueError, CapExceeded) as exc:
         raise ValueError(f"verify entry {k}: {exc}") from None
-    for key in ("mu", "lambda"):
-        if len(inst[key]) != system.rank:
-            raise ValueError(
-                f"verify entry {k}: {key!r} has length {len(inst[key])}, "
-                f"not rank {system.rank}"
-            )
 
 
 def cmd_verify(args):

@@ -290,19 +290,26 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> ExplicitMod
     return ExplicitModule(system, mu, weights, e_cols, f_cols)
 
 
-def build_irrep(system: RootSystem, mu: Weight) -> ExplicitModule:
-    """The irreducible module with highest weight mu, built once under
-    the system's module cap and kept on the system."""
+def _capped_dimension(system: RootSystem, mu: Weight) -> int:
+    """dim V(mu), once mu is known to be dominant (else ValueError) and
+    the dimension to be within the system's module cap (else
+    CapExceeded)."""
     if not mu.is_dominant():
         raise ValueError(f"highest weight {mu.fc} is not dominant")
-    module = system._irreps.get(mu.fc)
-    if module is not None:
-        return module
     dim = weyl_dimension(mu)
     cap = system.caps.module_dim
     if dim > cap:
         raise CapExceeded(f"dim V{mu.fc} = {dim} exceeds the module cap {cap}")
-    module = system._irreps[mu.fc] = _lower_from_highest(system, mu, dim)
+    return dim
+
+
+def build_irrep(system: RootSystem, mu: Weight) -> ExplicitModule:
+    """The irreducible module with highest weight mu, built once under
+    the system's module cap and kept on the system."""
+    module = system._irreps.get(mu.fc)
+    if module is None:
+        dim = _capped_dimension(system, mu)
+        module = system._irreps[mu.fc] = _lower_from_highest(system, mu, dim)
     return module
 
 

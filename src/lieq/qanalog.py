@@ -6,13 +6,21 @@ alternating Weyl sum of those polynomials over the shifted action gives
 the q-analog of weight multiplicity; at q = 1 it collapses to the
 ordinary multiplicity, which Freudenthal's recursion and the Weyl
 dimension formula compute independently.
+
+q_partition fills one box DP per weight, each root walking by strides
+only the cells above it.  Freudenthal's recursion takes the dominant
+weights below the highest weight from `height.dominant_interval`, in
+order of chain depth; that walk belongs to neither side of the
+identity, so the q-analog side still builds no module.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from operator import mul
 
+from .height import dominant_interval
 from .qpoly import QPolynomial
 from .rootsystem import Parabolic, RootSystem, Weight
 
@@ -28,7 +36,12 @@ def q_partition(gamma: Weight, parabolic: Parabolic | None = None) -> QPolynomia
     """Graded count of ways to write gamma as a sum of positive roots
     outside the parabolic (all positive roots when parabolic is None);
     the q^n coefficient counts expressions with exactly n summands.
-    Zero polynomial when gamma is outside the Z>=0 span."""
+    Zero polynomial when gamma is outside the Z>=0 span.
+
+    One dense DP over the box [0, rc(gamma)] with a pass per root.  A
+    root's pass walks, by strides, only the cells at or above the root,
+    in increasing index order, so each cell already counts the root's
+    uses below it."""
     system = gamma.system
     rc = system.lattice_coords(gamma.fc)
     if rc is None or any(x < 0 for x in rc):
@@ -37,7 +50,6 @@ def q_partition(gamma: Weight, parabolic: Parabolic | None = None) -> QPolynomia
     hit = system._q_partitions.get(cache_key)
     if hit is not None:
         return hit
-    roots = [r.rc for r in _nilradical_roots(system, parabolic)]
     sizes = [c + 1 for c in rc]
     strides = [0] * len(sizes)
     acc = 1
@@ -45,20 +57,21 @@ def q_partition(gamma: Weight, parabolic: Parabolic | None = None) -> QPolynomia
         strides[i] = acc
         acc *= sizes[i]
     total = acc
-    points = list(itertools.product(*[range(s) for s in sizes]))
     dp: list = [None] * total
     dp[0] = {0: 1}
-    for root in roots:
-        offset = sum(root[i] * strides[i] for i in range(len(sizes)))
-        for idx, point in enumerate(points):
-            if all(point[i] >= root[i] for i in range(len(point))):
-                src = dp[idx - offset]
-                if src:
-                    cell = dp[idx]
-                    if cell is None:
-                        cell = dp[idx] = {}
-                    for deg, c in src.items():
-                        cell[deg + 1] = cell.get(deg + 1, 0) + c
+    for root in _nilradical_roots(system, parabolic):
+        offset = sum(map(mul, root.rc, strides))
+        above = itertools.product(
+            *(range(r * st, s * st, st) for r, s, st in zip(root.rc, sizes, strides))
+        )
+        for idx in map(sum, above):
+            src = dp[idx - offset]
+            if src:
+                cell = dp[idx]
+                if cell is None:
+                    cell = dp[idx] = {}
+                for deg, c in src.items():
+                    cell[deg + 1] = cell.get(deg + 1, 0) + c
     out = QPolynomial(dp[total - 1] or {})
     system._q_partitions[cache_key] = out
     return out
@@ -130,29 +143,14 @@ def weyl_dimension(mu: Weight) -> int:
     return num // den
 
 
-def _dominant_weights_below(system: RootSystem, mu_fc) -> list:
-    """Fundamental coordinates of the dominant weights <= mu, ordered by
-    height below mu, via the fact that covers between dominant weights
-    differ by a positive root."""
-    seen = {tuple(0 for _ in mu_fc): mu_fc}  # root coords of mu - delta -> delta
-    frontier = list(seen.items())
-    while frontier:
-        nxt = []
-        for gap, fc in frontier:
-            for root in system.positive_roots:
-                cand = tuple(a - b for a, b in zip(fc, root.fc))
-                cand_gap = tuple(a + b for a, b in zip(gap, root.rc))
-                if cand_gap in seen or any(x < 0 for x in cand):
-                    continue
-                seen[cand_gap] = cand
-                nxt.append((cand_gap, cand))
-        frontier = nxt
-    return [fc for gap, fc in sorted(seen.items(), key=lambda it: (sum(it[0]), it[1]))]
-
-
 def _multiplicity_table(system: RootSystem, mu_fc) -> dict:
     """Freudenthal's recursion in integers: with S = 2 * den * (,),
-    m(delta) = 2 * sum m(nu) S(nu, beta) / (S(mu+rho) - S(delta+rho))."""
+    m(delta) = 2 * sum m(nu) S(nu, beta) / (S(mu+rho) - S(delta+rho)).
+
+    The dominant weights <= mu are the dominant interval from w0 mu =
+    -(-mu)^+ up to mu, taken by longest-chain depth below mu.  Every
+    dominant weight above delta lies on a chain down to delta, so its
+    depth is smaller and its multiplicity is in the table first."""
     table = system._multiplicity_tables.get(mu_fc)
     if table is not None:
         return table
@@ -162,8 +160,11 @@ def _multiplicity_table(system: RootSystem, mu_fc) -> dict:
     mu_rho = tuple(a + b for a, b in zip(mu_fc, rho))
     shifted_mu_norm = form(mu_rho, mu_rho)
     betas = [(r.fc, form(r.fc, r.fc)) for r in system.positive_roots]
+    lowest = [-a for a in system.dominant_weight_fc([-a for a in mu_fc])]
+    depths = dominant_interval(system, Weight(system, lowest), Weight(system, mu_fc))
     table: dict = {mu_fc: 1}
-    for delta in _dominant_weights_below(system, mu_fc)[1:]:
+    # mu alone has depth 0
+    for delta in sorted(depths, key=depths.get)[1:]:
         delta_norm = form(delta, delta)
         total = 0
         for beta, beta_norm in betas:

@@ -340,67 +340,43 @@ class RootSystem:
         )
 
     def _close_positive_roots(self):
+        """The positive roots, ordered by (height, rc), as the orbit of the
+        simple roots under s_i(beta) = beta - <beta, alpha_i^vee> alpha_i,
+        where the pairing is entry i of beta's fc.  Only the raising steps,
+        those with a negative pairing, are taken: a non-simple positive
+        root beta has some i with a positive pairing, and s_i(beta) is a
+        lower positive root whose raising step s_i leads back to beta.
+        Reflections keep length, so each image takes its squared length
+        from the root it came from."""
         n = self.rank
-        known = set()
-        simples = []
-        for i in range(n):
-            rc = tuple(1 if j == i else 0 for j in range(n))
-            simples.append(rc)
-            known.add(rc)
-        levels = [simples]
-        while levels[-1]:
+        norms = {}
+        frontier = []
+        for i, norm in enumerate(self.simple_norms):
+            rc = tuple(int(j == i) for j in range(n))
+            norms[rc] = norm
+            frontier.append(rc)
+        while frontier:
             nxt = []
-            for rc in levels[-1]:
-                fc = self._fc_of_rc(rc)
-                for i in range(n):
-                    down = 0
-                    step = list(rc)
-                    while True:
-                        step[i] -= 1
-                        if tuple(step) in known or (
-                            step[i] < 0 and tuple(-x for x in step) in known
-                        ):
-                            down += 1
-                        else:
-                            break
-                    up_len = down - fc[i]
-                    if up_len > 0:
-                        cand = list(rc)
-                        cand[i] += 1
-                        cand = tuple(cand)
-                        if cand not in known:
-                            known.add(cand)
-                            nxt.append(cand)
-            levels.append(nxt)
-        ordered = sorted(known, key=lambda rc: (sum(rc), rc))
-        roots = []
-        short_sq = 1
-        for idx, rc in enumerate(ordered):
-            nsq = self._norm_sq_rc(rc)
-            if nsq.denominator != 1:
-                raise RuntimeError("non-integral root length; construction bug")
-            nsq = int(nsq)
-            coroot = tuple(
-                Fraction(rc[j] * self.simple_norms[j], nsq) for j in range(n)
+            for rc in frontier:
+                for i, c in enumerate(self._fc_of_rc(rc)):
+                    if c < 0:
+                        image = rc[:i] + (rc[i] - c,) + rc[i + 1:]
+                        if image not in norms:
+                            norms[image] = norms[rc]
+                            nxt.append(image)
+            frontier = nxt
+        ordered = sorted(norms, key=lambda rc: (sum(rc), rc))
+        return tuple(
+            Root(
+                index=idx,
+                rc=rc,
+                fc=self._fc_of_rc(rc),
+                norm_sq=norms[rc],
+                long=norms[rc] > 1,
+                # beta^vee = sum_j rc_j |alpha_j|^2 / |beta|^2 alpha_j^vee
+                coroot_fc=tuple(c * s // norms[rc] for c, s in zip(rc, self.simple_norms)),
             )
-            if any(c.denominator != 1 for c in coroot):
-                raise RuntimeError("non-integral coroot; construction bug")
-            roots.append(
-                Root(
-                    index=idx,
-                    rc=rc,
-                    fc=self._fc_of_rc(rc),
-                    norm_sq=nsq,
-                    long=nsq > short_sq,
-                    coroot_fc=tuple(int(c) for c in coroot),
-                )
-            )
-        return tuple(roots)
-
-    def _norm_sq_rc(self, rc) -> Fraction:
-        fc = self._fc_of_rc(rc)
-        return sum(
-            Fraction(self.simple_norms[j], 2) * fc[j] * rc[j] for j in range(self.rank)
+            for idx, rc in enumerate(ordered)
         )
 
     # -- basic accessors ----------------------------------------------

@@ -206,10 +206,19 @@ def test_text_and_json_encode_identical_reports(tmp_path, capsys):
          "orbit [2,1] is not even; no filtration theorem"),
         ({"type": "G2", "rank": 2, "orbit": "regular", "mu": [1, 1], "lambda": [0, 0]},
          "unknown orbit 'regular' for G2"),
+        ({"type": "A", "rank": 3, "partition": [4], "mu": [-1, 0, 1], "lambda": [0, 0, 0]},
+         "highest weight (-1, 0, 1) is not dominant"),
+        ({"type": "A", "rank": 3, "partition": [4], "mu": [9, 9, 9], "lambda": [0, 0, 0]},
+         "dim V(9, 9, 9) = 1000000 exceeds the module cap 500"),
+        ({"type": "A", "rank": 4, "partition": [5], "mu": [1, 0, 0, 0],
+          "lambda": [1, 0, 0, 0]},
+         "|W| = 120 exceeds the Weyl order cap 100"),
     ],
 )
 def test_verify_rejects_malformed_entry(tmp_path, capsys, monkeypatch, entry, message):
-    # every entry is checked before the first one runs
+    # every entry is checked before the first one runs; of all the
+    # systems here only A4 has more than 100 Weyl group elements
+    monkeypatch.setenv("LIEQ_WEYL_CAP", "100")
     ran = []
     monkeypatch.setattr("lieq.cli.verify_theorem", lambda *args, **kwargs: ran.append(args))
     good = {"type": "A", "rank": 2, "partition": [3], "mu": [1, 1], "lambda": [0, 0]}
@@ -242,6 +251,19 @@ def test_partition_must_fit_the_system(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command,arg", [("qanalog", "--mu"), ("partition", "--gamma")])
+@pytest.mark.parametrize("node", ["5", "0", "-1"])
+def test_parabolic_nodes_are_named_as_typed(capsys, command, arg, node):
+    code, out, err = run_cli(
+        capsys, command, "--type", "A", "--rank", "3", arg, "1,0,1",
+        *(["--lambda", "0,0,0"] if command == "qanalog" else []),
+        f"--parabolic=2,{node}",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: parabolic node {node} is not in 1..3"]
 
 
 def test_usage_errors(capsys):

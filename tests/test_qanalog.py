@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -73,11 +75,15 @@ def test_q_partition_borel_a2_highest_root():
     assert q_partition(theta) == poly({1: 1, 2: 1})
 
 
-@pytest.mark.parametrize("key", [("A", 2), ("A", 3), ("B", 2), ("G2", 2)])
+@pytest.mark.parametrize(
+    "key",
+    [("A", 2), ("A", 3), ("B", 2), ("G2", 2), ("B", 3), ("C", 3), ("D", 4), ("F4", 4)],
+)
 def test_q_partition_matches_bruteforce_oracle(key):
+    # B3, C3, D4 and F4 have roots with coefficients 2 to 4
     system = build_root_system(*key)
     rng = random.Random(17)
-    parabolics = [None, system.parabolic([0])]
+    parabolics = [None, system.parabolic([0]), system.parabolic([0, 1])]
     for _ in range(12):
         rc = [rng.randint(0, 3) for _ in range(system.rank)]
         gamma = system.weight(rc, basis="root")
@@ -160,7 +166,9 @@ def test_lusztig_at_one_equals_freudenthal(key):
         )
 
 
-@pytest.mark.parametrize("key", [("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G2", 2)])
+@pytest.mark.parametrize(
+    "key", [("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G2", 2), ("B", 3), ("D", 4), ("F4", 4)]
+)
 def test_multiplicities_sum_to_weyl_dimension(key):
     system = build_root_system(*key)
     rng = random.Random(31)
@@ -168,6 +176,28 @@ def test_multiplicities_sum_to_weyl_dimension(key):
         mu = system.weight([rng.randint(0, 2) for _ in range(system.rank)])
         total, dim = total_dimension_check(mu)
         assert total == dim
+
+
+# sha256 prefix of [mu, sorted dominant_multiplicities(mu)] for every mu in
+# {0, ..., top - 1}^rank
+MULTIPLICITY_DIGESTS = [
+    (("A", 3), 3, "446a50a45609"),
+    (("B", 3), 3, "5695e36b0884"),
+    (("C", 3), 3, "bb41ad8c62ad"),
+    (("G2", 2), 3, "c6d8a8d42602"),
+    (("D", 4), 2, "9ba78590405d"),
+    (("F4", 4), 2, "7d7797d29c84"),
+]
+
+
+@pytest.mark.parametrize("key,top,digest", MULTIPLICITY_DIGESTS)
+def test_dominant_multiplicities_are_pinned(key, top, digest):
+    system = build_root_system(*key)
+    rows = []
+    for mu in itertools.product(range(top), repeat=system.rank):
+        table = dominant_multiplicities(system.weight(mu))
+        rows.append([list(mu), sorted([list(fc), m] for fc, m in table.items())])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:12] == digest
 
 
 def test_borel_q_analog_nonnegative_for_dominant_pairs():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -36,6 +38,72 @@ def test_positive_root_counts(key):
 def test_f4_positive_root_count_from_dimension():
     # dim F4 = 52, so the closure must produce (52 - 4) / 2 = 24 roots
     assert len(build_root_system("F4", 4).positive_roots) == (52 - 4) // 2
+
+
+# every supported (type, rank <= 6), with |Phi+| as a function of the rank
+ROOT_COUNT_FORMULAS = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "G2": lambda n: 6,
+    "F4": lambda n: 24,
+}
+
+# sha256 prefix of [(rc, fc, norm_sq, long, coroot_fc)] over the positive
+# roots in index order
+ROOT_DIGESTS = {
+    ("A", 1): "8a820ba13972",
+    ("A", 2): "3729a65b2eb4",
+    ("A", 3): "f84f90ad980a",
+    ("A", 4): "a9688f0b8c10",
+    ("A", 5): "87fd40bf08f4",
+    ("A", 6): "a14ef29b5325",
+    ("B", 2): "5b0f80d9c37d",
+    ("B", 3): "0afe5d49439a",
+    ("B", 4): "867c8e001c41",
+    ("B", 5): "2e94944bbf64",
+    ("B", 6): "f92420ceaff7",
+    ("C", 2): "9751f54b97c1",
+    ("C", 3): "96bcb34dc1a0",
+    ("C", 4): "6a27234cd1ff",
+    ("C", 5): "a6cf1cf466f9",
+    ("C", 6): "1f3923d1d771",
+    ("D", 3): "70976924f6e1",
+    ("D", 4): "678f309e379d",
+    ("D", 5): "c36171c94fa1",
+    ("D", 6): "720b56126f81",
+    ("G2", 2): "583903e73e8a",
+    ("F4", 4): "b777451af853",
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(ROOT_DIGESTS), ids=lambda k: k[0] if k[0] in ("G2", "F4") else f"{k[0]}{k[1]}"
+)
+def test_root_data_invariants(key):
+    system = build_root_system(*key)
+    n = system.rank
+    roots = system.positive_roots
+    assert len(roots) == ROOT_COUNT_FORMULAS[key[0]](n)
+    assert [r.index for r in roots] == list(range(len(roots)))
+    assert [(r.height, r.rc) for r in roots] == sorted((r.height, r.rc) for r in roots)
+    for root in roots:
+        assert all(type(x) is int and x >= 0 for x in root.rc)
+        assert root.fc == tuple(
+            sum(system.cartan_matrix[i][j] * root.rc[j] for j in range(n)) for i in range(n)
+        )
+        weight = system.weight(root.fc)
+        assert system.pair(weight, root) == 2
+        assert root.norm_sq == system.norm_sq(weight)
+        assert root.long == (root.norm_sq > 1)
+        # beta^vee = sum_j rc_j |alpha_j|^2 / |beta|^2 alpha_j^vee, exactly
+        assert all(type(c) is int for c in root.coroot_fc)
+        assert [c * root.norm_sq for c in root.coroot_fc] == [
+            x * s for x, s in zip(root.rc, system.simple_norms)
+        ]
+    rows = [[list(r.rc), list(r.fc), r.norm_sq, r.long, list(r.coroot_fc)] for r in roots]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:12] == ROOT_DIGESTS[key]
 
 
 @pytest.mark.parametrize("key", ALL_TYPES)

@@ -1,6 +1,5 @@
-"""Explicit irreducible highest-weight modules over exact rational
-arithmetic, plus the nilpotent jump polynomial of a filtration by
-kernels of powers.
+"""Explicit irreducible highest-weight modules in exact arithmetic, plus
+the nilpotent jump polynomial of a filtration by kernels of powers.
 
 Construction: V(mu) is built in its own weight spaces, with no ambient
 space.  Starting from the highest vector, each level is reached by the
@@ -9,28 +8,32 @@ its raising images (e_j v)_j, which determine it in an irreducible
 module.  Those images are known from the level above, so one row
 reduction per weight decides which f_i.b are new basis vectors.  This
 is the Verma-quotient view of de Graaf, *Lie Algebras: Theory and
-Algorithms* (2000).  Every module carries weight tags and sparse
-generator matrices in its own coordinates.
+Algorithms* (2000).  The reduction runs on scaled ints, fraction-free
+as in Bareiss elimination (Math. Comp. 22, 1968), and gives the same
+rationals as a reduction over Q.  Every module carries weight tags and
+sparse generator matrices in its own coordinates, with `Fraction`
+entries.
 
 Filtration: an algebra element x acts on a vector as the sum of its
 basis terms, each an operator that the module builds once from its
 generator matrices and keeps (a non-simple root vector as a commutator
 of two such column maps); x itself is never built as a matrix on the
-whole module.  Every sparse update goes through `linalg.add_scaled`.
-Whether x is nilpotent is decided once per element
-(`AlgebraElement.is_nilpotent`).
+whole module.  The filtration runs over `Fraction`, and every sparse
+update goes through `linalg.add_scaled`.  Whether x is nilpotent is
+decided once per element (`AlgebraElement.is_nilpotent`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_chevalley
 from .config import CapExceeded
 from .linalg import add_scaled, rank_of_sparse, sparse_nullspace
 from .qanalog import weyl_dimension
 from .qpoly import QPolynomial
-from .rootsystem import Parabolic, RootSystem, Weight
+from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
 
 
 class ExplicitModule:
@@ -201,38 +204,6 @@ def bk_jump_polynomial(
 # construction
 
 
-class _WeightEchelon:
-    """Echelon basis of the raising images of one weight space, with
-    expansion bookkeeping in module coordinates."""
-
-    def __init__(self):
-        self.rows: dict = {}  # pivot key -> (image, expression)
-
-    def reduce(self, vec: dict):
-        vec = dict(vec)
-        expr: dict = {}
-        while vec:
-            hits = [k for k in vec if k in self.rows]
-            if not hits:
-                break
-            p = min(hits)
-            row, row_expr = self.rows[p]
-            c = vec[p]
-            add_scaled(vec, row, -c)
-            add_scaled(expr, row_expr, c)
-        return vec, expr
-
-    def insert(self, residue: dict, module_index: int):
-        """Normalize the residue to leading coefficient 1, store it with
-        the given module index, and return it with its leading
-        coefficient."""
-        p = min(residue)
-        lead = residue[p]
-        vec = {k: v / lead for k, v in residue.items()}
-        self.rows[p] = (vec, {module_index: Fraction(1)})
-        return vec, lead
-
-
 def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> ExplicitModule:
     """V(mu) spanned by f-monomials on its highest vector, with each basis
     vector stored only through its raising images.
@@ -242,7 +213,16 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> ExplicitMod
     them on the level just built.  Below mu a vector of an irreducible
     module is fixed by its raising images, so row-reducing those images
     weight by weight decides which candidates are new basis vectors and
-    expresses the others in them."""
+    expresses the others in them.
+
+    The reduction runs on ints.  A basis vector's raising images are
+    kept as (den, {(j, row): int}) and an f_i column as
+    (den, {target: int}).  A candidate's images are W / S with W an int
+    vector; each weight keeps rows {pivot: (R, r, module index)}, R a
+    primitive int row with R[pivot] = r > 0 and least key the pivot, so
+    the rows are triangular in pivot order and the residue and the
+    coefficients are the same rationals as a reduction over Q.  The
+    module's Fraction maps are written once, at the end."""
     rank = system.rank
     alpha_fc = [
         system._root_by_rc[tuple(1 if j == i else 0 for j in range(rank))].fc
@@ -250,16 +230,25 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> ExplicitMod
     ]
     echelons: dict = {}
     weights: list = [mu.fc]
-    e_cols: list = [dict() for _ in range(rank)]
-    f_cols: list = [dict() for _ in range(rank)]
+    raising: list = [(1, {})]
+    lowering: list = [dict() for _ in range(rank)]
     cursor = 0
     while cursor < len(weights):
         fc = weights[cursor]
+        den, images = raising[cursor]
         for i in range(rank):
-            image: dict = {(i, cursor): Fraction(fc[i])} if fc[i] else {}
-            for j in range(rank):
-                for row, c in e_cols[j].get(cursor, {}).items():
-                    for target, a in f_cols[i].get(row, {}).items():
+            f_i = lowering[i]
+            scale = 1
+            for _, row in images:
+                column = f_i.get(row)
+                if column is not None:
+                    scale = lcm(scale, column[0])
+            image: dict = {(i, cursor): fc[i] * den * scale} if fc[i] else {}
+            for (j, row), c in images.items():
+                column = f_i.get(row)
+                if column is not None:
+                    c *= scale // column[0]
+                    for target, a in column[1].items():
                         key = (j, target)
                         v = image.get(key, 0) + c * a
                         if v:
@@ -268,25 +257,67 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> ExplicitMod
                             del image[key]
             if not image:
                 continue
+            scale *= den
             target_fc = tuple(a - b for a, b in zip(fc, alpha_fc[i]))
-            ech = echelons.setdefault(target_fc, _WeightEchelon())
-            residue, expr = ech.reduce(image)
-            if residue:
+            rows = echelons.setdefault(target_fc, {})
+            expr: dict = {}
+            while True:
+                hits = [k for k in image if k in rows]
+                if not hits:
+                    break
+                p = min(hits)
+                pivot_row, r, idx = rows[p]
+                c = image[p]
+                g = gcd(r, c)
+                r //= g
+                c //= g
+                # W <- r W - c R keeps the scale if S and X are scaled too
+                if r != 1:
+                    for k in image:
+                        image[k] *= r
+                    for k in expr:
+                        expr[k] *= r
+                    scale *= r
+                add_scaled(image, pivot_row, -c)
+                expr[idx] = c * pivot_row[p]
+                g = gcd(scale, *image.values(), *expr.values())
+                if g > 1:
+                    image = {k: v // g for k, v in image.items()}
+                    expr = {k: v // g for k, v in expr.items()}
+                    scale //= g
+            if image:
                 new_idx = len(weights)
                 if new_idx == dim:
                     raise RuntimeError(f"lowering exceeded dimension {dim}; bug")
-                vec, lead = ech.insert(residue, new_idx)
+                p = min(image)
+                g = gcd(*image.values())
+                if image[p] < 0:
+                    g = -g
+                pivot_row = {k: v // g for k, v in image.items()}
+                rows[p] = (pivot_row, pivot_row[p], new_idx)
                 weights.append(target_fc)
-                for (j, row), v in vec.items():
-                    e_cols[j].setdefault(new_idx, {})[row] = v
-                expr[new_idx] = lead
-            f_cols[i][cursor] = expr
+                raising.append((pivot_row[p], pivot_row))
+                expr[new_idx] = image[p]
+            g = gcd(scale, *expr.values())
+            if g > 1:
+                expr = {k: v // g for k, v in expr.items()}
+                scale //= g
+            f_i[cursor] = (scale, expr)
         cursor += 1
 
     if len(weights) != dim:
         raise RuntimeError(
             f"lowering built dimension {len(weights)}, expected {dim}"
         )
+    e_cols: list = [dict() for _ in range(rank)]
+    for idx, (den, images) in enumerate(raising):
+        for (j, row), v in images.items():
+            e_cols[j].setdefault(idx, {})[row] = Fraction(v, den)
+    f_cols = [
+        {col: {k: Fraction(v, den) for k, v in expr.items()}
+         for col, (den, expr) in f_i.items()}
+        for f_i in lowering
+    ]
     return ExplicitModule(system, mu, weights, e_cols, f_cols)
 
 
@@ -294,8 +325,7 @@ def _capped_dimension(system: RootSystem, mu: Weight) -> int:
     """dim V(mu), once mu is known to be dominant (else ValueError) and
     the dimension to be within the system's module cap (else
     CapExceeded)."""
-    if not mu.is_dominant():
-        raise ValueError(f"highest weight {mu.fc} is not dominant")
+    _require_dominant(mu)
     dim = weyl_dimension(mu)
     cap = system.caps.module_dim
     if dim > cap:

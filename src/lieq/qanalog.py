@@ -22,7 +22,7 @@ from operator import mul
 
 from .height import dominant_interval
 from .qpoly import QPolynomial
-from .rootsystem import Parabolic, RootSystem, Weight
+from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
 
 
 def _nilradical_roots(system: RootSystem, parabolic: Parabolic | None):
@@ -130,8 +130,7 @@ def lusztig_q_analog(
 def weyl_dimension(mu: Weight) -> int:
     """Dimension of the irreducible module with highest weight mu."""
     system = mu.system
-    if not mu.is_dominant():
-        raise ValueError("highest weight must be dominant")
+    _require_dominant(mu)
     shifted = mu + system.rho
     num = 1
     den = 1
@@ -190,8 +189,7 @@ def freudenthal_multiplicity(mu: Weight, lam: Weight) -> int:
     """dim of the lam weight space in the irreducible module V(mu),
     by Freudenthal's recursion."""
     system = mu.system
-    if not mu.is_dominant():
-        raise ValueError("highest weight must be dominant")
+    _require_dominant(mu)
     if not (mu - lam).in_root_lattice():
         return 0
     table = _multiplicity_table(system, mu.fc)

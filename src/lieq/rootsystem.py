@@ -185,6 +185,13 @@ class Weight:
         return f"Weight{self.fc}"
 
 
+def _require_dominant(mu: Weight) -> None:
+    """The one check that a highest weight is dominant, shared by the
+    module and q-analog sides."""
+    if not mu.is_dominant():
+        raise ValueError(f"highest weight {mu.fc} is not dominant")
+
+
 class WeylElement:
     """Weyl group element as an integer matrix on fundamental coordinates."""
 

@@ -25,7 +25,7 @@ from .orbits import (
 )
 from .qanalog import lusztig_q_analog
 from .qpoly import QPolynomial
-from .rootsystem import Parabolic, RootSystem, Weight
+from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
 
 CERTIFICATE_ORDER = (
     "PCharacter",
@@ -157,8 +157,7 @@ def verify_theorem(
 ) -> VerificationReport:
     """Build the module, run the filtration against the q-analog, and
     attach the certificate for this instance; the system's caps apply."""
-    if not mu.is_dominant():
-        raise ValueError("highest weight must be dominant")
+    _require_dominant(mu)
     name, labels, rep = orbit_data(system, orbit_spec, seed)
     parabolic = associated_parabolic(system, labels)
     module = build_irrep(system, mu)

@@ -202,13 +202,19 @@ def cht_two_pass_oracle(lam):
 
 
 def weyl_orbit(system, weight):
+    """Fundamental coordinates of every point of the weight's Weyl orbit,
+    stepping by s_i(lam) = lam - lam_i alpha_i, one Cartan column."""
     seen = {weight.fc}
     frontier = [weight.fc]
+    cols = system._cartan_cols
     while frontier:
         nxt = []
         for fc in frontier:
             for i in range(system.rank):
-                img = system.simple_reflection(i).apply_fc(fc)
+                c = fc[i]
+                if not c:
+                    continue
+                img = tuple(a - c * b for a, b in zip(fc, cols[i]))
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)

@@ -1,7 +1,8 @@
 """Every import in the package and in its tests is used, and so is every
-private function of the package: stand-ins for a linter's unused-import
-and unused-definition rules, built on the standard library's ast.  Every
-name the benchmark's tracer wraps also still exists in the package."""
+private function and class of the package: stand-ins for a linter's
+unused-import and unused-definition rules, built on the standard
+library's ast.  Every name the benchmark's tracer wraps also still
+exists in the package."""
 
 import ast
 import collections
@@ -59,8 +60,9 @@ def _is_private(name: str) -> bool:
 
 
 def unused_private_functions(sources: dict) -> list:
-    """(file, line, name) for every _-prefixed function or method that no
-    code in the given {file: source} references outside its own body."""
+    """(file, line, name) for every _-prefixed function, method or class
+    that no code in the given {file: source} references outside its own
+    body."""
     defs, total, inside = [], collections.Counter(), collections.Counter()
 
     def references(tree):
@@ -74,7 +76,7 @@ def unused_private_functions(sources: dict) -> list:
         tree = ast.parse(source)
         total.update(references(tree))
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and _is_private(node.name):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
                 defs.append((file, node.lineno, node.name))
                 inside.update(r for r in references(node) if r == node.name)
     return sorted(d for d in defs if total[d[2]] == inside[d[2]])
@@ -90,11 +92,14 @@ def test_checker_flags_an_unused_private_function():
             "class C:\n    def __init__(self):\n        self.x = 0\n"
             "    def _method(self):\n        return 2\n"
             "    def _dead_method(self):\n        return self._method()\n"
+            "class _Used:\n    pass\n"
+            "class _DeadClass:\n    def make(self):\n        return _DeadClass(), _Used()\n"
         ),
         "b.py": "import a\na._called_from_b()\n",
     }
     assert unused_private_functions(sources) == [
         ("a.py", 3, "_dead"), ("a.py", 5, "_recursive"), ("a.py", 14, "_dead_method"),
+        ("a.py", 18, "_DeadClass"),
     ]
 
 

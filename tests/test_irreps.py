@@ -244,6 +244,39 @@ def test_basis_operators_are_pinned(key, fc, digest):
     assert hashlib.sha256(json.dumps(ops).encode()).hexdigest()[:12] == digest
 
 
+# sha256 prefix, per system, of the construction of every module with
+# dim <= 200, as [[mu, weights, e_cols, f_cols] for each mu], each column
+# map as [[col, [[row, str(v)] in stored order]] per generator]
+CONSTRUCTION_DIGESTS = [
+    (("A", 4), 36, "46addb839848"),
+    (("B", 3), 15, "3e84215359a2"),
+    (("C", 3), 13, "5d308e722bc7"),
+    (("D", 4), 17, "16b162383bdd"),
+    (("G2", 2), 9, "81d1d760479c"),
+    (("F4", 4), 3, "8b9de503396e"),
+]
+
+
+@pytest.mark.parametrize("key,count,digest", CONSTRUCTION_DIGESTS)
+def test_construction_is_pinned(key, count, digest):
+    def pinned(cols):
+        return [
+            [[c, [[row, str(v)] for row, v in col.items()]] for c, col in by_col.items()]
+            for by_col in cols
+        ]
+
+    system = build_root_system(*key)
+    modules = []
+    for mu in dominant_weights_with_dim_bound(system, 200):
+        module = build_irrep(system, mu)
+        modules.append([
+            list(mu.fc), [list(fc) for fc in module.weights],
+            pinned(module.e_cols), pinned(module.f_cols),
+        ])
+    assert len(modules) == count
+    assert hashlib.sha256(json.dumps(modules).encode()).hexdigest()[:12] == digest
+
+
 @pytest.mark.parametrize(
     "key,fc", [(("A", 2), (1, 1)), (("B", 2), (1, 1)), (("G2", 2), (1, 0))] + OFF_ROOT_LATTICE
 )
@@ -398,10 +431,21 @@ def test_principal_filtration_off_root_lattice(key, fc):
     assert_filtration_matches_oracle(module, e, borel)
 
 
-def test_non_dominant_highest_weight_rejected():
-    A2 = build_root_system("A", 2)
-    with pytest.raises(ValueError):
-        build_irrep(A2, A2.weight((-1, 0)))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda s, mu: build_irrep(s, mu),
+        lambda s, mu: weyl_dimension(mu),
+        lambda s, mu: freudenthal_multiplicity(mu, s.zero_weight()),
+        lambda s, mu: verify_theorem(s, mu, s.zero_weight(), "principal"),
+    ],
+    ids=["build_irrep", "weyl_dimension", "freudenthal_multiplicity", "verify_theorem"],
+)
+def test_non_dominant_highest_weight_rejected(entry):
+    # one rule and one message on the module and the q-analog side
+    A3 = build_root_system("A", 3)
+    with pytest.raises(ValueError, match=r"^highest weight \(-1, 0, 1\) is not dominant$"):
+        entry(A3, A3.weight((-1, 0, 1)))
 
 
 @pytest.mark.parametrize("key", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G2", 2)])

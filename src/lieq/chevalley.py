@@ -23,11 +23,11 @@ class AlgebraElement:
     """Sparse vector in the Chevalley basis: {basis index: Fraction}.
 
     An element is a value: arithmetic returns new elements and its
-    `coeffs` are never changed after construction, so facts derived
-    from them, such as `is_nilpotent()`, are decided once and kept on
-    the element."""
+    `coeffs` are never changed after construction, so what is derived
+    from them, the columns of ad(x) and `is_nilpotent()`, is built once
+    and kept on the element."""
 
-    __slots__ = ("algebra", "coeffs", "_nilpotent")
+    __slots__ = ("algebra", "coeffs", "_ad_cols", "_nilpotent")
 
     def __init__(self, algebra: "ChevalleyAlgebra", coeffs=None):
         self.algebra = algebra
@@ -38,6 +38,7 @@ class AlgebraElement:
                 if c:
                     clean[idx] = c
         self.coeffs = clean
+        self._ad_cols = None
         self._nilpotent = None
 
     def __add__(self, other):
@@ -60,13 +61,20 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def ad_cols(self) -> list:
+        """The columns of ad(self), `ChevalleyAlgebra.ad_columns`, built
+        on the first call and kept; callers must not change them."""
+        if self._ad_cols is None:
+            self._ad_cols = self.algebra.ad_columns(self)
+        return self._ad_cols
+
     def is_nilpotent(self) -> bool:
         """Whether ad(self) is nilpotent, by applying ad(self) to every
         basis vector until all images vanish or dim steps have passed.
         Decided on the first call and kept."""
         if self._nilpotent is None:
             algebra = self.algebra
-            cols = algebra.ad_columns(self)
+            cols = self.ad_cols()
             vectors = [{j: Fraction(1)} for j in range(algebra.dim)]
             for _ in range(algebra.dim):
                 nxt = []
@@ -348,7 +356,7 @@ class ChevalleyAlgebra:
         return mat
 
     def centralizer_dimension(self, x: AlgebraElement) -> int:
-        return self.dim - rank_of_sparse(self.ad_columns(x))
+        return self.dim - rank_of_sparse(x.ad_cols())
 
     def weight_of_index(self, idx: int):
         kind = self.index_data(idx)

@@ -30,21 +30,28 @@ from .rootsystem import build_root_system, weyl_group_order
 from .verify import orbit_data, orbit_labels, verify_theorem
 
 
-def _parse_ints(text: str):
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _parse_ints(args, name: str) -> list:
+    """The comma-separated integers given to the flag --name."""
+    text = getattr(args, name)
+    try:
+        return [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise ValueError(
+            f"--{name} {text!r} is not a comma-separated list of integers"
+        ) from None
 
 
 def _system_from(args):
     return build_root_system(args.type, args.rank)
 
 
-def _weight_from(system, text: str, root_coords: bool):
-    coords = _parse_ints(text)
-    return system.weight(coords, basis="root" if root_coords else "fundamental")
+def _weight_from(system, args, name: str):
+    coords = _parse_ints(args, name)
+    return system.weight(coords, basis="root" if args.root_coords else "fundamental")
 
 
-def _parabolic_from(system, text):
-    nodes = _parse_ints(text)
+def _parabolic_from(system, args):
+    nodes = _parse_ints(args, "parabolic")
     for node in nodes:
         if not 1 <= node <= system.rank:
             raise ValueError(f"parabolic node {node} is not in 1..{system.rank}")
@@ -98,9 +105,9 @@ def cmd_roots(args):
 
 def cmd_qanalog(args):
     system = _system_from(args)
-    mu = _weight_from(system, args.mu, args.root_coords)
-    lam = _weight_from(system, getattr(args, "lambda"), args.root_coords)
-    parabolic = _parabolic_from(system, args.parabolic)
+    mu = _weight_from(system, args, "mu")
+    lam = _weight_from(system, args, "lambda")
+    parabolic = _parabolic_from(system, args)
     poly = lusztig_q_analog(mu, lam, parabolic)
     payload = {
         "mu": list(mu.fc),
@@ -114,8 +121,8 @@ def cmd_qanalog(args):
 
 def cmd_partition(args):
     system = _system_from(args)
-    gamma = _weight_from(system, args.gamma, args.root_coords)
-    parabolic = _parabolic_from(system, args.parabolic)
+    gamma = _weight_from(system, args, "gamma")
+    parabolic = _parabolic_from(system, args)
     poly = q_partition(gamma, parabolic)
     payload = {
         "gamma": list(gamma.fc),
@@ -128,7 +135,7 @@ def cmd_partition(args):
 
 def cmd_cht(args):
     system = _system_from(args)
-    lam = _weight_from(system, args.weight, args.root_coords)
+    lam = _weight_from(system, args, "weight")
     plus = system.weight(system.dominant_weight_fc(lam.fc))
     low = star(lam)
     value = cht(lam)
@@ -155,7 +162,7 @@ def cmd_orbit(args):
     system = _system_from(args)
     algebra = build_chevalley(system)
     if args.partition:
-        partition = Partition(tuple(_parse_ints(args.partition)))
+        partition = Partition(tuple(_parse_ints(args, "partition")))
         labels = partition_labels(system, partition)
         name = "[%s]" % ",".join(str(p) for p in partition)
         even = is_even_partition(partition)
@@ -201,12 +208,12 @@ def cmd_orbit(args):
 
 def cmd_bk(args):
     system = _system_from(args)
-    mu = _weight_from(system, args.mu, args.root_coords)
-    lam = _weight_from(system, getattr(args, "lambda"), args.root_coords)
+    mu = _weight_from(system, args, "mu")
+    lam = _weight_from(system, args, "lambda")
     if args.principal:
         spec = "principal"
     elif args.partition:
-        spec = Partition(tuple(_parse_ints(args.partition)))
+        spec = Partition(tuple(_parse_ints(args, "partition")))
     elif args.orbit:
         spec = args.orbit
     else:

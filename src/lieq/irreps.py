@@ -12,7 +12,12 @@ Algorithms* (2000).  The reduction runs on scaled ints, fraction-free
 as in Bareiss elimination (Math. Comp. 22, 1968), and gives the same
 rationals as a reduction over Q.  Every module carries weight tags and
 sparse generator matrices in its own coordinates, with `Fraction`
-entries.
+entries, one `Fraction` object per distinct (numerator, denominator)
+pair that the int construction produces.  The raising maps
+e_i are written when the module is built and kept once: the operator
+of a simple root vector is the stored map itself.  The lowering maps
+f_i, which only negative root vectors read, are built on first use by
+running the deterministic construction again, and kept.
 
 Filtration: an algebra element x acts on a vector as the sum of its
 basis terms, each an operator that the module builds once from its
@@ -38,14 +43,16 @@ from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
 
 class ExplicitModule:
     """A concrete module: a weight-tagged basis with sparse column maps
-    for the Chevalley generators."""
+    for the Chevalley generators.  The raising maps come with the
+    module; the lowering maps, which only negative root vectors read,
+    are built on first use."""
 
-    def __init__(self, system, highest_weight, weights, e_cols, f_cols):
+    def __init__(self, system, highest_weight, weights, e_cols):
         self.system = system
         self.highest_weight = highest_weight
         self.weights = weights          # list of fc tuples, one per basis vector
         self.e_cols = e_cols            # e_cols[i][col] = {row: coeff}
-        self.f_cols = f_cols
+        self._f_cols = None
         self.weight_index: dict = {}
         for idx, fc in enumerate(weights):
             self.weight_index.setdefault(fc, []).append(idx)
@@ -54,6 +61,23 @@ class ExplicitModule:
     @property
     def dim(self) -> int:
         return len(self.weights)
+
+    @property
+    def f_cols(self) -> list:
+        """f_cols[i][col] = {row: coeff}, from a second run of the
+        construction, which is deterministic, on the first access; then
+        kept."""
+        if self._f_cols is None:
+            _, _, lowering = _lower_from_highest(
+                self.system, self.highest_weight, self.dim
+            )
+            shared: dict = {}
+            self._f_cols = [
+                {col: {k: _fraction(shared, v, den) for k, v in expr.items()}
+                 for col, (den, expr) in f_i.items()}
+                for f_i in lowering
+            ]
+        return self._f_cols
 
     def weight_space(self, lam: Weight) -> list:
         """Unit vectors (module coordinates) spanning the weight space."""
@@ -103,8 +127,7 @@ class ExplicitModule:
             _, sign, root = kind
             if root.height == 1:
                 i = root.rc.index(1)
-                raw = self.e_cols[i] if sign > 0 else self.f_cols[i]
-                cols = {c: dict(col) for c, col in raw.items()}
+                cols = self.e_cols[i] if sign > 0 else self.f_cols[i]
             else:
                 # X_root = [X_a, X_rest] / N for the first simple root a
                 # whose removal leaves a root, N read from the ad table
@@ -204,7 +227,7 @@ def bk_jump_polynomial(
 # construction
 
 
-def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> ExplicitModule:
+def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
     """V(mu) spanned by f-monomials on its highest vector, with each basis
     vector stored only through its raising images.
 
@@ -221,8 +244,11 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> ExplicitMod
     vector; each weight keeps rows {pivot: (R, r, module index)}, R a
     primitive int row with R[pivot] = r > 0 and least key the pivot, so
     the rows are triangular in pivot order and the residue and the
-    coefficients are the same rationals as a reduction over Q.  The
-    module's Fraction maps are written once, at the end."""
+    coefficients are the same rationals as a reduction over Q.
+
+    Returns the weights, the raising images and the f_i columns, all in
+    ints; `build_irrep` writes the module's e maps from the raising
+    images, and `ExplicitModule.f_cols` the f maps from the columns."""
     rank = system.rank
     alpha_fc = [
         system._root_by_rc[tuple(1 if j == i else 0 for j in range(rank))].fc
@@ -309,16 +335,15 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> ExplicitMod
         raise RuntimeError(
             f"lowering built dimension {len(weights)}, expected {dim}"
         )
-    e_cols: list = [dict() for _ in range(rank)]
-    for idx, (den, images) in enumerate(raising):
-        for (j, row), v in images.items():
-            e_cols[j].setdefault(idx, {})[row] = Fraction(v, den)
-    f_cols = [
-        {col: {k: Fraction(v, den) for k, v in expr.items()}
-         for col, (den, expr) in f_i.items()}
-        for f_i in lowering
-    ]
-    return ExplicitModule(system, mu, weights, e_cols, f_cols)
+    return weights, raising, lowering
+
+
+def _fraction(shared: dict, v: int, den: int) -> Fraction:
+    """Fraction(v, den), one object per distinct (v, den) in shared."""
+    value = shared.get((v, den))
+    if value is None:
+        value = shared[(v, den)] = Fraction(v, den)
+    return value
 
 
 def _capped_dimension(system: RootSystem, mu: Weight) -> int:
@@ -339,7 +364,13 @@ def build_irrep(system: RootSystem, mu: Weight) -> ExplicitModule:
     module = system._irreps.get(mu.fc)
     if module is None:
         dim = _capped_dimension(system, mu)
-        module = system._irreps[mu.fc] = _lower_from_highest(system, mu, dim)
+        weights, raising, _ = _lower_from_highest(system, mu, dim)
+        e_cols: list = [dict() for _ in range(system.rank)]
+        shared: dict = {}
+        for idx, (den, images) in enumerate(raising):
+            for (j, row), v in images.items():
+                e_cols[j].setdefault(idx, {})[row] = _fraction(shared, v, den)
+        module = system._irreps[mu.fc] = ExplicitModule(system, mu, weights, e_cols)
     return module
 
 

@@ -25,8 +25,19 @@ from operator import mul
 from .config import CapExceeded, Caps, caps_from_env
 
 
+# the exceptional types come in one rank; the classical ones from a least rank
+_FIXED_RANK = {"G2": 2, "F4": 4}
+_LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+
 def _cartan_and_norms(type_label: str, rank: int):
     """Cartan matrix rows and squared lengths of the simple roots."""
+    if type_label in _FIXED_RANK and rank != _FIXED_RANK[type_label]:
+        raise ValueError(f"{type_label} has rank {_FIXED_RANK[type_label]}, not {rank}")
+    if type_label in _LEAST_RANK and rank < _LEAST_RANK[type_label]:
+        raise ValueError(
+            f"type {type_label} needs rank at least {_LEAST_RANK[type_label]}, not {rank}"
+        )
     n = rank
 
     def chain(norms, bonds):
@@ -38,40 +49,40 @@ def _cartan_and_norms(type_label: str, rank: int):
             cartan[i][j] = c
         return cartan, norms
 
-    if type_label == "A" and n >= 1:
+    if type_label == "A":
         bonds = {}
         for i in range(n - 1):
             bonds[(i, i + 1)] = bonds[(i + 1, i)] = -1
         return chain([1] * n, bonds)
-    if type_label == "B" and n >= 2:
+    if type_label == "B":
         bonds = {}
         for i in range(n - 2):
             bonds[(i, i + 1)] = bonds[(i + 1, i)] = -1
         bonds[(n - 2, n - 1)] = -1   # <alpha_n, alpha_{n-1}^vee>
         bonds[(n - 1, n - 2)] = -2   # <alpha_{n-1}, alpha_n^vee>
         return chain([2] * (n - 1) + [1], bonds)
-    if type_label == "C" and n >= 2:
+    if type_label == "C":
         bonds = {}
         for i in range(n - 2):
             bonds[(i, i + 1)] = bonds[(i + 1, i)] = -1
         bonds[(n - 2, n - 1)] = -2
         bonds[(n - 1, n - 2)] = -1
         return chain([1] * (n - 1) + [2], bonds)
-    if type_label == "D" and n >= 3:
+    if type_label == "D":
         bonds = {}
         for i in range(n - 2):
             bonds[(i, i + 1)] = bonds[(i + 1, i)] = -1
         bonds[(n - 3, n - 1)] = bonds[(n - 1, n - 3)] = -1
         return chain([1] * n, bonds)
-    if type_label == "G2" and n == 2:
+    if type_label == "G2":
         # node 1 short, node 2 long (squared length 3)
         return chain([1, 3], {(0, 1): -3, (1, 0): -1})
-    if type_label == "F4" and n == 4:
+    if type_label == "F4":
         # nodes 1,2 short; nodes 3,4 long
         bonds = {(0, 1): -1, (1, 0): -1, (2, 3): -1, (3, 2): -1,
                  (1, 2): -2, (2, 1): -1}
         return chain([1, 1, 2, 2], bonds)
-    raise ValueError(f"no finite root system of type {type_label}{rank}")
+    raise ValueError(f"no finite root system of type {type_label}")
 
 
 def _scaled_inverse(matrix):

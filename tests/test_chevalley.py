@@ -215,6 +215,23 @@ def test_is_nilpotent_is_decided_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_ad_columns_are_built_once_per_element(monkeypatch):
+    # the Richardson check and the nilpotency search read the same ad(x)
+    g = algebra("B", 2)
+    calls = []
+    original = ChevalleyAlgebra.ad_columns
+    monkeypatch.setattr(
+        ChevalleyAlgebra, "ad_columns", lambda self, x: calls.append(x) or original(self, x)
+    )
+    x = g.x(g.system.positive_roots[0]) + g.x(g.system.positive_roots[1])
+    dim = g.centralizer_dimension(x)
+    assert x.is_nilpotent()
+    assert g.centralizer_dimension(x) == dim
+    assert x.ad_cols() is x.ad_cols()
+    assert calls == [x]
+    assert x.ad_cols() == original(g, x)
+
+
 def test_centralizer_of_zero_is_everything():
     g = algebra("A", 2)
     assert g.centralizer_dimension(g.zero()) == g.dim

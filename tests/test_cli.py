@@ -199,7 +199,7 @@ def test_text_and_json_encode_identical_reports(tmp_path, capsys):
         ({"type": "B", "rank": 2, "partition": [3], "mu": [1, 1], "lambda": [0, 0]},
          "partition orbits are a type A construction, not B"),
         ({"type": "G2", "rank": 3, "orbit": "subregular", "mu": [1, 1], "lambda": [0, 0]},
-         "no finite root system of type G23"),
+         "G2 has rank 2, not 3"),
         ({"type": "A", "rank": 2, "orbit": "bogus", "mu": [1, 1], "lambda": [0, 0]},
          "unknown orbit 'bogus' for A2"),
         ({"type": "A", "rank": 2, "partition": [2, 1], "mu": [1, 1], "lambda": [0, 0]},
@@ -264,6 +264,43 @@ def test_parabolic_nodes_are_named_as_typed(capsys, command, arg, node):
     assert code == 1
     assert out == ""
     assert err.splitlines() == [f"error: parabolic node {node} is not in 1..3"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,text",
+    [
+        (["bk", "--mu", "a,b", "--lambda", "0,0", "--principal"], "mu", "a,b"),
+        (["bk", "--mu", "1,1", "--lambda", "0,x", "--principal"], "lambda", "0,x"),
+        (["cht", "--weight", "1;2"], "weight", "1;2"),
+        (["partition", "--gamma", "1,1", "--parabolic", "1.5"], "parabolic", "1.5"),
+        (["partition", "--gamma", "1,,q"], "gamma", "1,,q"),
+        (["orbit", "--partition", "2+1"], "partition", "2+1"),
+    ],
+)
+def test_unreadable_integers_name_the_flag_and_text(capsys, argv, flag, text):
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, "--type", "A", "--rank", "2", *rest)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: --{flag} {text!r} is not a comma-separated list of integers"
+    ]
+
+
+@pytest.mark.parametrize(
+    "type_label,rank,message",
+    [("G2", 3, "G2 has rank 2, not 3"), ("F4", 5, "F4 has rank 4, not 5"),
+     ("B", 1, "type B needs rank at least 2, not 1")],
+)
+def test_wrong_rank_names_the_type_and_rank(capsys, type_label, rank, message):
+    mu = ",".join(["1"] * rank)
+    code, out, err = run_cli(
+        capsys, "bk", "--type", type_label, "--rank", str(rank),
+        "--mu", mu, "--lambda", mu, "--principal",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_usage_errors(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from lieq import (
 from lieq.chevalley import AlgebraElement
 from lieq.orbits import BUILTIN_ORBITS, associated_parabolic, partition_labels
 from lieq.qpoly import QPolynomial
+from lieq.rootsystem import RootSystem
 
 from oracles import dominant_weights_with_dim_bound, filtration_oracle, operator_columns
 
@@ -275,6 +277,52 @@ def test_construction_is_pinned(key, count, digest):
         ])
     assert len(modules) == count
     assert hashlib.sha256(json.dumps(modules).encode()).hexdigest()[:12] == digest
+
+
+def test_simple_root_operators_are_the_stored_maps():
+    system, module = module_of("G2", 2, (1, 1))
+    algebra = build_chevalley(system)
+    for i in range(system.rank):
+        simple = system._root_by_rc[tuple(int(j == i) for j in range(system.rank))]
+        assert module._basis_operator(algebra.x_index(simple, 1)) is module.e_cols[i]
+        assert module._basis_operator(algebra.x_index(simple, -1)) is module.f_cols[i]
+
+
+def test_lowering_maps_are_built_on_first_use():
+    # a system outside the process cache, so this test builds its modules
+    system = RootSystem("A", 3, Caps())
+    module = build_irrep(system, system.weight((1, 0, 1)))
+    e = principal_nilpotent(build_chevalley(system))
+    for parabolic in (system.borel(), system.parabolic([1])):
+        for fc in sorted(set(module.weights)):
+            bk_jump_polynomial(module, e, system.weight(fc), parabolic)
+    assert module._f_cols is None
+    f_cols = module.f_cols
+    assert module.f_cols is f_cols
+    # the same maps as on a module built in the process cache
+    _, cached = module_of("A", 3, (1, 0, 1))
+    assert f_cols == cached.f_cols and module.e_cols == cached.e_cols
+
+
+def test_modules_keep_under_a_kilobyte_per_basis_vector():
+    # every A4 module of dim <= 200 with its principal operators, built
+    # under tracemalloc in a system outside the process cache
+    system = RootSystem("A", 4, Caps())
+    e = principal_nilpotent(build_chevalley(system))
+    assert e.is_nilpotent()
+    borel = system.borel()
+    mus = dominant_weights_with_dim_bound(system, 200)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for mu in mus:
+            bk_jump_polynomial(build_irrep(system, mu), e, mu, borel)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    dims = sum(module.dim for module in system._irreps.values())
+    assert len(mus) == 36
+    assert kept < 1000 * dims
 
 
 @pytest.mark.parametrize(

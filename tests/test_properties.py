@@ -1,7 +1,10 @@
 """Property tests over small modules: Kostant's multiplicity formula at
 q = 1 against Freudenthal's recursion, and the Weyl invariance of
-multiplicities.  Examples are derandomized and no example database is
-kept, so every run checks the same cases."""
+multiplicities.  Property tests over weights in a small box: the rules
+that the dominant conjugate, star and the combinatorial height cht obey
+along roots and under simple reflections, the norm bound on cht, and
+the direct predicate for cht = 0.  Examples are derandomized and no
+example database is kept, so every run checks the same cases."""
 
 import itertools
 import tempfile
@@ -15,8 +18,11 @@ from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 from lieq import (  # noqa: E402
     build_root_system,
+    cht,
+    cht_is_zero_fast,
     freudenthal_multiplicity,
     lusztig_q_analog,
+    star,
     weyl_dimension,
 )
 
@@ -65,3 +71,89 @@ def test_multiplicity_is_invariant_under_simple_reflections(pair):
     m = freudenthal_multiplicity(mu, lam)
     for i in range(system.rank):
         assert freudenthal_multiplicity(mu, system.simple_reflection(i).apply(lam)) == m
+
+
+HEIGHT_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("G2", 2)]
+
+
+@st.composite
+def box_weight(draw):
+    """A weight with every fundamental coordinate in [-3, 3]."""
+    system = build_root_system(*draw(st.sampled_from(HEIGHT_SYSTEMS)))
+    fc = draw(st.lists(st.integers(-3, 3), min_size=system.rank, max_size=system.rank))
+    return system.weight(fc)
+
+
+def dominant(lam):
+    return lam.system.weight(lam.system.dominant_weight_fc(lam.fc))
+
+
+def simple_roots(system):
+    return [root for root in system.positive_roots if root.height == 1]
+
+
+@PROPERTY_SETTINGS
+@given(box_weight())
+def test_conjugate_rule(lam):
+    # adding a root with pairing >= 0 raises the dominant conjugate,
+    # pairing -1 keeps it, and pairing <= -2 lowers it
+    system = lam.system
+    plus = dominant(lam)
+    for root in system.positive_roots:
+        moved = dominant(lam + system.weight(root.fc))
+        pairing = system.pair(lam, root)
+        if pairing == -1:
+            assert moved == plus
+        else:
+            low, high = (plus, moved) if pairing >= 0 else (moved, plus)
+            assert low != high and system.dominance_leq(low, high)
+
+
+@PROPERTY_SETTINGS
+@given(box_weight())
+def test_star_rule(lam):
+    # adding a simple root with negative pairing keeps star
+    system = lam.system
+    for root in simple_roots(system):
+        if system.pair(lam, root) < 0:
+            assert star(lam + system.weight(root.fc)) == star(lam)
+
+
+@PROPERTY_SETTINGS
+@given(box_weight())
+def test_cht_equal_and_drop_along_simple_roots(lam):
+    system = lam.system
+    value = cht(lam)
+    for root in simple_roots(system):
+        pairing = system.pair(lam, root)
+        moved = cht(lam + system.weight(root.fc))
+        if pairing == -1:
+            assert moved == value
+        elif pairing <= -2:
+            assert moved < value
+
+
+@PROPERTY_SETTINGS
+@given(box_weight())
+def test_reflection_and_shifted_reflection_rules(lam):
+    system = lam.system
+    value = cht(lam)
+    for i in range(system.rank):
+        s = system.simple_reflection(i)
+        if lam.fc[i] <= 0:
+            assert value >= cht(s.apply(lam))
+        if lam.fc[i] <= -2:
+            assert value > cht(system.shifted_action(s, lam))
+
+
+@PROPERTY_SETTINGS
+@given(box_weight())
+def test_cht_norm_bound(lam):
+    system = lam.system
+    assert cht(lam) <= system.norm_sq(lam) - system.norm_sq(star(lam))
+
+
+@PROPERTY_SETTINGS
+@given(box_weight())
+def test_cht_zero_agrees_with_the_fast_predicate(lam):
+    assert (cht(lam) == 0) == cht_is_zero_fast(lam)

@@ -8,24 +8,27 @@ its raising images (e_j v)_j, which determine it in an irreducible
 module.  Those images are known from the level above, so one row
 reduction per weight decides which f_i.b are new basis vectors.  This
 is the Verma-quotient view of de Graaf, *Lie Algebras: Theory and
-Algorithms* (2000).  The reduction runs on scaled ints, fraction-free
-as in Bareiss elimination (Math. Comp. 22, 1968), and gives the same
-rationals as a reduction over Q.  Every module carries weight tags and
-sparse generator matrices in its own coordinates, with `Fraction`
-entries, one `Fraction` object per distinct (numerator, denominator)
-pair that the int construction produces.  The raising maps
-e_i are written when the module is built and kept once: the operator
-of a simple root vector is the stored map itself.  The lowering maps
-f_i, which only negative root vectors read, are built on first use by
-running the deterministic construction again, and kept.
+Algorithms* (2000).  The reduction is `linalg.eliminate` on scaled
+ints: each weight's basis vectors are its pivots, whose tails name
+them, and a candidate's tail carries its scale and its coefficients in
+them, the same rationals as a reduction over Q.  Every module carries
+weight tags and sparse generator matrices in its own coordinates, with
+`Fraction` entries, one `Fraction` object per distinct (numerator,
+denominator) pair that the int construction produces.  The raising
+maps e_i are written when the module is built and kept once: the
+operator of a simple root vector is the stored map itself.  The
+lowering maps f_i, which only negative root vectors read, are built on
+first use by running the deterministic construction again, and kept.
 
 Filtration: an algebra element x acts on a vector as the sum of its
 basis terms, each an operator that the module builds once from its
 generator matrices and keeps (a non-simple root vector as a commutator
 of two such column maps); x itself is never built as a matrix on the
-whole module.  The filtration runs over `Fraction`, and every sparse
-update goes through `linalg.add_scaled`.  Whether x is nilpotent is
-decided once per element (`AlgebraElement.is_nilpotent`).
+whole module.  The filtration vectors are `Fraction`s, every sparse
+update goes through `linalg.add_scaled`, and the Levi-highest kernel
+and the ranks of the powers go through `linalg.eliminate`, as the
+construction does.  Whether x is nilpotent is decided once per element
+(`AlgebraElement.is_nilpotent`).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from math import gcd, lcm
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_chevalley
 from .config import CapExceeded
-from .linalg import add_scaled, rank_of_sparse, sparse_nullspace
+from .linalg import add_scaled, eliminate, sparse_echelon, sparse_nullspace
 from .qanalog import weyl_dimension
 from .qpoly import QPolynomial
 from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
@@ -85,18 +88,18 @@ class ExplicitModule:
 
     def l_highest_space(self, lam: Weight, parabolic: Parabolic) -> list:
         """Basis of the vectors of weight lam killed by the raising
-        operators of the parabolic's Levi."""
+        operators of the parabolic's Levi, as primitive int vectors:
+        the unit vectors for the Borel, else `sparse_nullspace` over
+        the weight space's indices in order."""
         indices = self.weight_index.get(lam.fc, [])
-        if not indices or not parabolic.indices:
-            return [{idx: Fraction(1)} for idx in indices]
+        if not parabolic.indices:
+            return [{idx: 1} for idx in indices]
         constraints: dict = {}
         for i in sorted(parabolic.indices):
             for idx in indices:
                 for row, coeff in self.e_cols[i].get(idx, {}).items():
                     constraints.setdefault((i, row), {})[idx] = coeff
-        if not constraints:
-            return [{idx: Fraction(1)} for idx in indices]
-        return sparse_nullspace(constraints.values(), sorted(indices))
+        return sparse_nullspace(constraints.values(), indices)
 
     # -- generator / element action ------------------------------------
 
@@ -195,8 +198,10 @@ def bk_jump_polynomial(
     """Filtration of the Levi-highest subspace at weight lam by kernels
     of successive powers of x; the jump polynomial records dimension
     increments.  Raises if x is not nilpotent, which x decides once
-    and keeps; x is applied to the vectors of the space, never built as
-    a matrix on the whole module."""
+    and keeps.  Each power keeps an echelon basis of x^k applied to the
+    space, so x is applied to rank-many vectors and the rank is the
+    basis's size; x is never built as a matrix on the whole module."""
+    module.system.require_same(x.algebra.system, lam.system, parabolic.system)
     if not x.is_nilpotent():
         raise ValueError("element is not nilpotent on the module")
     space = module.l_highest_space(lam, parabolic)
@@ -207,10 +212,11 @@ def bk_jump_polynomial(
     current = space
     steps = 0
     while True:
-        current = [module.apply_element(x, v) for v in current]
-        dims.append(total - rank_of_sparse(current))
-        if all(not v for v in current):
+        basis = sparse_echelon(module.apply_element(x, v) for v in current)
+        dims.append(total - len(basis))
+        if not basis:
             break
+        current = [row for row, _ in basis.values()]
         steps += 1
         if steps > module.dim + 1:
             raise ValueError("element is not nilpotent on the module")
@@ -238,13 +244,16 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
     weight by weight decides which candidates are new basis vectors and
     expresses the others in them.
 
-    The reduction runs on ints.  A basis vector's raising images are
-    kept as (den, {(j, row): int}) and an f_i column as
-    (den, {target: int}).  A candidate's images are W / S with W an int
-    vector; each weight keeps rows {pivot: (R, r, module index)}, R a
-    primitive int row with R[pivot] = r > 0 and least key the pivot, so
-    the rows are triangular in pivot order and the residue and the
-    coefficients are the same rationals as a reduction over Q.
+    The reduction is `linalg.eliminate`, on ints.  A basis vector's
+    raising images are kept as (den, {(j, row): int}) and an f_i column
+    as (den, {target: int}).  Each weight keeps its linalg pivots
+    {pivot: (R, {index: -r})}: R is a primitive int row with least key
+    the pivot and R[pivot] = r > 0, r times the images of basis vector
+    b = `index`, so its tail counts R as -r times -b.  A candidate v
+    enters as its int images W with the tail {-1: S}, W = S v, and
+    leaves with W = S v - sum X_b b and the tail {-1: S, b: X_b}: after
+    a gcd division that is the f_i column (S, X), the same rationals as
+    a reduction over Q.
 
     Returns the weights, the raising images and the f_i columns, all in
     ints; `build_irrep` writes the module's e maps from the raising
@@ -283,34 +292,9 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
                             del image[key]
             if not image:
                 continue
-            scale *= den
             target_fc = tuple(a - b for a, b in zip(fc, alpha_fc[i]))
             rows = echelons.setdefault(target_fc, {})
-            expr: dict = {}
-            while True:
-                hits = [k for k in image if k in rows]
-                if not hits:
-                    break
-                p = min(hits)
-                pivot_row, r, idx = rows[p]
-                c = image[p]
-                g = gcd(r, c)
-                r //= g
-                c //= g
-                # W <- r W - c R keeps the scale if S and X are scaled too
-                if r != 1:
-                    for k in image:
-                        image[k] *= r
-                    for k in expr:
-                        expr[k] *= r
-                    scale *= r
-                add_scaled(image, pivot_row, -c)
-                expr[idx] = c * pivot_row[p]
-                g = gcd(scale, *image.values(), *expr.values())
-                if g > 1:
-                    image = {k: v // g for k, v in image.items()}
-                    expr = {k: v // g for k, v in expr.items()}
-                    scale //= g
+            image, tail = eliminate(image, {-1: scale * den}, rows)
             if image:
                 new_idx = len(weights)
                 if new_idx == dim:
@@ -320,15 +304,16 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
                 if image[p] < 0:
                     g = -g
                 pivot_row = {k: v // g for k, v in image.items()}
-                rows[p] = (pivot_row, pivot_row[p], new_idx)
+                rows[p] = (pivot_row, {new_idx: -pivot_row[p]})
                 weights.append(target_fc)
                 raising.append((pivot_row[p], pivot_row))
-                expr[new_idx] = image[p]
-            g = gcd(scale, *expr.values())
+                tail[new_idx] = image[p]
+            scale = tail.pop(-1)
+            g = gcd(scale, *tail.values())
             if g > 1:
-                expr = {k: v // g for k, v in expr.items()}
+                tail = {k: v // g for k, v in tail.items()}
                 scale //= g
-            f_i[cursor] = (scale, expr)
+            f_i[cursor] = (scale, tail)
         cursor += 1
 
     if len(weights) != dim:
@@ -361,6 +346,7 @@ def _capped_dimension(system: RootSystem, mu: Weight) -> int:
 def build_irrep(system: RootSystem, mu: Weight) -> ExplicitModule:
     """The irreducible module with highest weight mu, built once under
     the system's module cap and kept on the system."""
+    system.require_same(mu.system)
     module = system._irreps.get(mu.fc)
     if module is None:
         dim = _capped_dimension(system, mu)

@@ -1,18 +1,19 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the integers.
 
-Vectors are dicts from a sortable key to a coefficient, and
-`add_scaled` is the one sparse update (out += c * vec, zeros dropped)
-that the algebra and module actions share.  Row reduction
-is done on integer-rescaled rows (rescaling a row changes neither rank
-nor kernel), with gcd normalization to keep entries small, and pivots
-taken at the least key.  Kernel bases come out of a reduced echelon form
-in a fixed column order, so "the first nullspace vector" is well defined
-and reproducible.
+Vectors are dicts from a sortable key to a coefficient.  `add_scaled`
+is the one sparse update (out += c * vec, zeros dropped), and
+`eliminate` the one row reduction, which module construction, ranks,
+kernels and the filtration share.  It is fraction-free (Bareiss, Math.
+Comp. 22, 1968) on integer-rescaled rows, which have the rank and
+kernel of the rational ones, with pivots at the least key.  Beside each
+row runs an integer tail, the combination of inputs the row stands
+for, so a kernel vector is the tail of a column that reduces to zero:
+kernel bases are primitive integer vectors, one per dependent column
+in the given order, deterministic and reproducible.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -28,46 +29,56 @@ def add_scaled(out: dict, vec: dict, c=1) -> dict:
     return out
 
 
+def eliminate(row: dict, tail: dict, pivots: dict) -> tuple:
+    """Reduce the int row against pivots {p: (R, T)}, R an int row with
+    least key p, until no key of the row is a pivot; returns the
+    reduced (row, tail), updated in place.  Pivots go least key first;
+    a step row <- r row - c R, with r, c = R[p], row[p] over their gcd,
+    does the same to the tail with T, then divides row and tail by
+    their gcd.  So if row = sum tail[k] u_k and each R = sum T[k] u_k on
+    entry, the same holds on return: the reduced row is a multiple of
+    the input row minus the combination of pivots the tail records."""
+    while True:
+        hits = [k for k in row if k in pivots]
+        if not hits:
+            return row, tail
+        p = min(hits)
+        prow, ptail = pivots[p]
+        g = gcd(prow[p], row[p])
+        r, c = prow[p] // g, row[p] // g
+        if r != 1:
+            for k in row:
+                row[k] *= r
+            for k in tail:
+                tail[k] *= r
+        add_scaled(row, prow, -c)
+        if ptail:
+            add_scaled(tail, ptail, -c)
+        g = gcd(*row.values(), *tail.values())
+        if g > 1:
+            row = {k: v // g for k, v in row.items()}
+            tail = {k: v // g for k, v in tail.items()}
+
+
 def _sparse_row_to_int(row: dict) -> dict:
-    den = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            den = lcm(den, v.denominator)
-    out = {}
-    g = 0
-    for k, v in row.items():
-        iv = int(v * den) if isinstance(v, Fraction) else int(v) * den
-        if iv:
-            out[k] = iv
-            g = gcd(g, iv)
+    """The primitive int row with row's support and direction."""
+    ratios = {k: v.as_integer_ratio() for k, v in row.items()}
+    den = lcm(*(d for _, d in ratios.values()))
+    out = {k: n * (den // d) for k, (n, d) in ratios.items() if n}
+    g = gcd(*out.values())
     if g > 1:
         out = {k: v // g for k, v in out.items()}
     return out
 
 
 def sparse_echelon(rows) -> dict:
-    """Echelon form of sparse integer-scaled rows; returns a map from
-    pivot key to its gcd-reduced row."""
+    """Echelon basis of the span of sparse rows: {pivot key: (R, {})},
+    R an int row with least key the pivot and no earlier pivot key."""
     pivots: dict = {}
     for raw in rows:
-        row = _sparse_row_to_int(raw)
-        while row:
-            p = min(row)
-            prow = pivots.get(p)
-            if prow is None:
-                pivots[p] = row
-                break
-            a, b = prow[p], row[p]
-            new = {}
-            g = 0
-            for k in row.keys() | prow.keys():
-                v = a * row.get(k, 0) - b * prow.get(k, 0)
-                if v:
-                    new[k] = v
-                    g = gcd(g, v)
-            if g > 1:
-                new = {k: v // g for k, v in new.items()}
-            row = new
+        row, tail = eliminate(_sparse_row_to_int(raw), {}, pivots)
+        if row:
+            pivots[min(row)] = (row, tail)
     return pivots
 
 
@@ -78,26 +89,19 @@ def rank_of_sparse(vecs) -> int:
 
 def sparse_nullspace(rows, columns) -> list[dict]:
     """Kernel basis for sparse constraint rows over the given column
-    keys (which must be sorted in their natural order), one vector per
-    free column in ascending order, each normalized with coefficient 1
-    on its free column."""
-    pivots = sparse_echelon(rows)
-    # back-substitute so every pivot row touches no other pivot column
-    reduced: dict = {}
-    for p in sorted(pivots, reverse=True):
-        row = {k: Fraction(v) for k, v in pivots[p].items()}
-        for k in [k for k in row if k != p and k in reduced]:
-            c = row.pop(k)
-            add_scaled(row, reduced[k], -c)
-        lead = row[p]
-        reduced[p] = {k: v / lead for k, v in row.items() if k != p}
+    keys: one primitive int vector per column that depends on the
+    columns before it, in the given order, with a positive coefficient
+    on that column and none on later ones."""
+    cols: dict = {col: {} for col in columns}
+    for n, raw in enumerate(rows):
+        for col, v in _sparse_row_to_int(raw).items():
+            cols[col][n] = v
+    pivots: dict = {}
     basis = []
-    for free in columns:
-        if free in reduced:
-            continue
-        vec = {free: Fraction(1)}
-        for p, rest in reduced.items():
-            if free in rest:
-                vec[p] = -rest[free]
-        basis.append(vec)
+    for col, vec in cols.items():
+        vec, tail = eliminate(vec, {col: 1}, pivots)
+        if vec:
+            pivots[min(vec)] = (vec, tail)
+        else:
+            basis.append(tail if tail[col] > 0 else {k: -v for k, v in tail.items()})
     return basis

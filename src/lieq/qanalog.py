@@ -25,28 +25,29 @@ from .qpoly import QPolynomial
 from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
 
 
-def _nilradical_roots(system: RootSystem, parabolic: Parabolic | None):
-    if parabolic is None:
-        return list(system.positive_roots)
+def _nilradical_roots(system: RootSystem, parabolic: Parabolic):
     inside = {r.rc for r in parabolic.positive_roots}
     return [r for r in system.positive_roots if r.rc not in inside]
 
 
 def q_partition(gamma: Weight, parabolic: Parabolic | None = None) -> QPolynomial:
     """Graded count of ways to write gamma as a sum of positive roots
-    outside the parabolic (all positive roots when parabolic is None);
-    the q^n coefficient counts expressions with exactly n summands.
-    Zero polynomial when gamma is outside the Z>=0 span.
+    outside the parabolic (all positive roots for the Borel, which
+    parabolic=None also names); the q^n coefficient counts expressions
+    with exactly n summands.  Zero polynomial when gamma is outside the
+    Z>=0 span.
 
     One dense DP over the box [0, rc(gamma)] with a pass per root.  A
     root's pass walks, by strides, only the cells at or above the root,
     in increasing index order, so each cell already counts the root's
     uses below it."""
     system = gamma.system
+    parabolic = parabolic or system.borel()
+    system.require_same(parabolic.system)
     rc = system.lattice_coords(gamma.fc)
     if rc is None or any(x < 0 for x in rc):
         return QPolynomial.zero()
-    cache_key = (parabolic.key if parabolic is not None else None, rc)
+    cache_key = (parabolic.key, rc)
     hit = system._q_partitions.get(cache_key)
     if hit is not None:
         return hit
@@ -91,7 +92,8 @@ def lusztig_q_analog(
     walk and a branch can stop at the first negative one.  A singular
     mu + rho is fixed by a reflection, whose terms cancel in pairs."""
     system = mu.system
-    system.weyl_order()
+    parabolic = parabolic or system.borel()
+    system.require_same(lam.system, parabolic.system)
     if not mu.is_dominant():
         warnings.warn("q-analog requested for a non-dominant highest weight")
     acc = QPolynomial.zero()
@@ -189,6 +191,7 @@ def freudenthal_multiplicity(mu: Weight, lam: Weight) -> int:
     """dim of the lam weight space in the irreducible module V(mu),
     by Freudenthal's recursion."""
     system = mu.system
+    system.require_same(lam.system)
     _require_dominant(mu)
     if not (mu - lam).in_root_lattice():
         return 0

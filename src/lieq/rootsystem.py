@@ -165,9 +165,11 @@ class Weight:
         return hash((self.system.key, self.fc))
 
     def __add__(self, other):
+        self.system.require_same(other.system)
         return Weight(self.system, [a + b for a, b in zip(self.fc, other.fc)])
 
     def __sub__(self, other):
+        self.system.require_same(other.system)
         return Weight(self.system, [a - b for a, b in zip(self.fc, other.fc)])
 
     def __neg__(self):
@@ -349,6 +351,13 @@ class RootSystem:
         self._q_partitions: dict = {}       # (parabolic key, rc) -> QPolynomial
         self._multiplicity_tables: dict = {}  # mu fc -> Freudenthal table
 
+    def require_same(self, *others: "RootSystem") -> None:
+        """The one check that combined objects share a root system:
+        ValueError unless each other has this type and rank (caps may differ)."""
+        for other in others:
+            if other is not self and other.key != self.key:
+                raise ValueError(f"cannot combine objects of {self.name} and {other.name}")
+
     # -- construction ------------------------------------------------
 
     def _fc_of_rc(self, rc):
@@ -501,19 +510,15 @@ class RootSystem:
                 self._simple_refs.append(w)
         return self._simple_refs[i]
 
-    def weyl_order(self) -> int:
-        """|W|; raises CapExceeded above the Weyl order cap."""
+    def weyl_group(self) -> list:
+        """All Weyl group elements, ordered by (length, word); enumerated
+        once, breadth first from the identity, and kept on the system.
+        The one place the Weyl order cap applies: CapExceeded above it."""
         order = weyl_group_order(self.type_label, self.rank)
         if order > self.caps.weyl_order:
             raise CapExceeded(
                 f"|W| = {order} exceeds the Weyl order cap {self.caps.weyl_order}"
             )
-        return order
-
-    def weyl_group(self) -> list:
-        """All Weyl group elements, ordered by (length, word); enumerated
-        once, breadth first from the identity, and kept on the system."""
-        self.weyl_order()
         if self._weyl_group is None:
             gens = [self.simple_reflection(i) for i in range(self.rank)]
             identity = self.identity_element()

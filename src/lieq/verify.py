@@ -157,6 +157,7 @@ def verify_theorem(
 ) -> VerificationReport:
     """Build the module, run the filtration against the q-analog, and
     attach the certificate for this instance; the system's caps apply."""
+    system.require_same(mu.system, lam.system)
     _require_dominant(mu)
     name, labels, rep = orbit_data(system, orbit_spec, seed)
     parabolic = associated_parabolic(system, labels)

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected values.
 
-These deliberately avoid the library's own algorithms: partition counts
-come from exhaustive multiset enumeration, star/cht from box
-enumeration over the full weight interval with a comparability DP,
+These deliberately avoid the library's own algorithms: ranks and
+kernels come from a plain Gauss-Jordan elimination over Fraction,
+partition counts from exhaustive multiset enumeration, star/cht from
+box enumeration over the full weight interval with a comparability DP,
 simple-root coordinates from a Fraction inverse of the Cartan matrix,
 q-analogs from the plain sum over every Weyl group element, Weyl
 orbits from a walk by simple reflections, and Jordan types from the
@@ -45,6 +46,44 @@ def fraction_cartan_inverse(system):
                 c = aug[r][col]
                 aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def fraction_gauss_jordan(rows, columns):
+    """Reduced echelon form over Fraction of sparse rows over the given
+    column keys: (pivot columns in order, free columns in order, the
+    kernel basis with 1 on its free column and 0 on the other free
+    columns)."""
+    columns = list(columns)
+    mat = [[Fraction(row.get(c, 0)) for c in columns] for row in rows]
+    pivots = []
+    top = 0
+    for j in range(len(columns)):
+        piv = next((r for r in range(top, len(mat)) if mat[r][j]), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        lead = mat[top][j]
+        mat[top] = [x / lead for x in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][j]:
+                c = mat[r][j]
+                mat[r] = [x - c * y for x, y in zip(mat[r], mat[top])]
+        pivots.append(j)
+        top += 1
+    free = [j for j in range(len(columns)) if j not in pivots]
+    kernel = []
+    for f in free:
+        vec = {columns[f]: Fraction(1)}
+        for r, j in enumerate(pivots):
+            if mat[r][f]:
+                vec[columns[j]] = -mat[r][f]
+        kernel.append(vec)
+    return [columns[j] for j in pivots], [columns[f] for f in free], kernel
+
+
+def fraction_rank(rows, columns) -> int:
+    """Rank of sparse rows over the given column keys, over Fraction."""
+    return len(fraction_gauss_jordan(rows, columns)[0])
 
 
 def fraction_root_coords(system, fc, inverse=None):

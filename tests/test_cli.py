@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -210,15 +211,10 @@ def test_text_and_json_encode_identical_reports(tmp_path, capsys):
          "highest weight (-1, 0, 1) is not dominant"),
         ({"type": "A", "rank": 3, "partition": [4], "mu": [9, 9, 9], "lambda": [0, 0, 0]},
          "dim V(9, 9, 9) = 1000000 exceeds the module cap 500"),
-        ({"type": "A", "rank": 4, "partition": [5], "mu": [1, 0, 0, 0],
-          "lambda": [1, 0, 0, 0]},
-         "|W| = 120 exceeds the Weyl order cap 100"),
     ],
 )
 def test_verify_rejects_malformed_entry(tmp_path, capsys, monkeypatch, entry, message):
-    # every entry is checked before the first one runs; of all the
-    # systems here only A4 has more than 100 Weyl group elements
-    monkeypatch.setenv("LIEQ_WEYL_CAP", "100")
+    # every entry is checked before the first one runs
     ran = []
     monkeypatch.setattr("lieq.cli.verify_theorem", lambda *args, **kwargs: ran.append(args))
     good = {"type": "A", "rank": 2, "partition": [3], "mu": [1, 1], "lambda": [0, 0]}
@@ -229,6 +225,38 @@ def test_verify_rejects_malformed_entry(tmp_path, capsys, monkeypatch, entry, me
     assert out == ""
     assert err.splitlines() == [f"error: verify entry 1: {message}"]
     assert ran == []
+
+
+def test_verify_runs_entries_above_the_weyl_cap(tmp_path, capsys, monkeypatch):
+    # the Weyl cap gates only weyl_group(), which verify never calls
+    monkeypatch.setenv("LIEQ_WEYL_CAP", "100")
+    entry = {"type": "A", "rank": 4, "partition": [5], "mu": [1, 0, 0, 0],
+             "lambda": [1, 0, 0, 0]}
+    config = tmp_path / "a4.json"
+    config.write_text(json.dumps([entry]))
+    code, out, err = run_cli(capsys, "verify", "--config", str(config))
+    assert code == 0, err
+    assert out.startswith("OK  A4 orbit=[5] mu=[1, 0, 0, 0]")
+
+
+def _readme_block(text, fence, after):
+    """The lines of the first ```fence block after the heading line."""
+    start = text.index(f"```{fence}\n", text.index(after)) + len(fence) + 4
+    return text[start:text.index("```", start)]
+
+
+def test_readme_command_line_examples_run(tmp_path, capsys, monkeypatch):
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = [
+        line for line in _readme_block(readme, "sh", "## Command line").splitlines()
+        if line.startswith("lieq ")
+    ]
+    assert commands and commands[-1] == "lieq verify --config instances.json"
+    (tmp_path / "instances.json").write_text(_readme_block(readme, "json", "A valid config"))
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        code, _, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0, f"{command}: {err}"
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,15 @@ q = 1 against Freudenthal's recursion, and the Weyl invariance of
 multiplicities.  Property tests over weights in a small box: the rules
 that the dominant conjugate, star and the combinatorial height cht obey
 along roots and under simple reflections, the norm bound on cht, and
-the direct predicate for cht = 0.  Examples are derandomized and no
+the direct predicate for cht = 0.  Property tests over small random
+sparse matrices: the one elimination's ranks, kernels and tails against
+a plain Gauss-Jordan over Fraction.  Examples are derandomized and no
 example database is kept, so every run checks the same cases."""
 
 import itertools
+import math
 import tempfile
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +29,8 @@ from lieq import (  # noqa: E402
     star,
     weyl_dimension,
 )
+from lieq.linalg import eliminate, rank_of_sparse, sparse_nullspace  # noqa: E402
+from oracles import fraction_gauss_jordan, fraction_rank  # noqa: E402
 
 # Even with no example database, hypothesis caches the constants it reads
 # from the sources, at collection time.  Keep that cache in a temporary
@@ -157,3 +163,82 @@ def test_cht_norm_bound(lam):
 @given(box_weight())
 def test_cht_zero_agrees_with_the_fast_predicate(lam):
     assert (cht(lam) == 0) == cht_is_zero_fast(lam)
+
+
+@st.composite
+def sparse_matrix(draw):
+    """(rows, columns): up to 5 sparse rows over up to 5 column keys taken
+    from range(10) in order, entries int or Fraction (three in seven of
+    them zero), some rows and columns forced to zero."""
+    columns = sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=5)))
+    n_rows = draw(st.integers(0, 5))
+    zero_rows = draw(st.sets(st.integers(0, n_rows), max_size=2))
+    zero_cols = draw(st.sets(st.sampled_from(columns), max_size=2))
+    size = n_rows * len(columns)
+    nums = draw(
+        st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=size, max_size=size)
+    )
+    dens = draw(st.lists(st.sampled_from((1, 1, 2, 3)), min_size=size, max_size=size))
+    rows = []
+    for n in range(n_rows):
+        row = {}
+        for j, c in enumerate(columns):
+            k = n * len(columns) + j
+            if nums[k] and n not in zero_rows and c not in zero_cols:
+                row[c] = Fraction(nums[k], dens[k]) if dens[k] > 1 else nums[k]
+        rows.append(row)
+    return rows, columns
+
+
+def dot(row, vec):
+    return sum(v * vec.get(k, 0) for k, v in row.items())
+
+
+@PROPERTY_SETTINGS
+@given(sparse_matrix())
+def test_rank_matches_gauss_jordan(matrix):
+    rows, columns = matrix
+    assert rank_of_sparse(rows) == fraction_rank(rows, columns)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_matrix())
+def test_nullspace_is_a_kernel_basis(matrix):
+    rows, columns = matrix
+    _, free, kernel = fraction_gauss_jordan(rows, columns)
+    basis = sparse_nullspace(rows, columns)
+    assert len(basis) == len(columns) - fraction_rank(rows, columns)
+    for vec in basis:
+        assert all(type(v) is int for v in vec.values())
+        assert all(dot(row, vec) == 0 for row in rows)
+    # independent, and spanning the oracle's kernel
+    assert fraction_rank(basis, columns) == len(basis)
+    assert fraction_rank(basis + kernel, columns) == len(basis)
+    # one vector per dependent column, in column order, positive there
+    # and zero on every later column
+    lasts = [max(vec) for vec in basis]
+    assert lasts == free
+    assert all(vec[last] > 0 for vec, last in zip(basis, lasts))
+
+
+@PROPERTY_SETTINGS
+@given(sparse_matrix())
+def test_eliminate_keeps_the_tail_invariant(matrix):
+    rows, _ = matrix
+    # integer inputs: each row times the lcm of its denominators
+    inputs = []
+    for row in rows:
+        den = math.lcm(*(Fraction(v).denominator for v in row.values()))
+        inputs.append({k: int(v * den) for k, v in row.items()})
+    pivots: dict = {}
+    for n, row in enumerate(inputs):
+        reduced, tail = eliminate(dict(row), {n: 1}, pivots)
+        assert tail[n] != 0
+        assert not reduced.keys() & pivots.keys()
+        combination: dict = {}
+        for k, c in tail.items():
+            for key, v in inputs[k].items():
+                combination[key] = combination.get(key, 0) + c * v
+        assert reduced == {k: v for k, v in combination.items() if v}
+        if reduced:
+            pivots[min(reduced)] = (reduced, tail)

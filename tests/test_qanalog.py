@@ -88,7 +88,7 @@ def test_q_partition_matches_bruteforce_oracle(key):
         rc = [rng.randint(0, 3) for _ in range(system.rank)]
         gamma = system.weight(rc, basis="root")
         for P in parabolics:
-            roots = _nilradical_roots(system, P)
+            roots = _nilradical_roots(system, P or system.borel())
             assert q_partition(gamma, P) == partition_poly_oracle(system, gamma, roots)
 
 
@@ -273,7 +273,30 @@ def test_lusztig_q_analog_non_dominant_mu(key, mu_fc):
                 assert got == QPolynomial.zero()
 
 
-def test_lusztig_q_analog_keeps_the_weyl_cap():
+def test_lusztig_q_analog_is_not_gated_by_the_weyl_cap():
+    # the orbit walk never lists W, so only weyl_group() applies the cap;
+    # the adjoint q-analog at 0 is q^e summed over the exponents e
+    cases = [("A", 6, (1, 2, 3, 4, 5, 6)), ("B", 5, (1, 3, 5, 7, 9))]
+    for type_label, rank, exponents in cases:
+        system = build_root_system(type_label, rank, Caps())
+        adjoint = system.weight(system.highest_root.fc)
+        got = lusztig_q_analog(adjoint, system.zero_weight(), system.borel())
+        assert got == poly({e: 1 for e in exponents})
+        assert got.evaluate(1) == freudenthal_multiplicity(adjoint, system.zero_weight())
+        with pytest.raises(CapExceeded, match="2000"):
+            system.weyl_group()
     A2 = build_root_system("A", 2, Caps(weyl_order=2))
+    assert lusztig_q_analog(A2.zero_weight(), A2.zero_weight()) == poly({0: 1})
     with pytest.raises(CapExceeded, match="2"):
-        lusztig_q_analog(A2.zero_weight(), A2.zero_weight())
+        A2.weyl_group()
+
+
+def test_the_borel_is_one_cache_entry_whatever_its_spelling():
+    A2 = build_root_system("A", 2)
+    mu = A2.weight((1, 1))
+    assert lusztig_q_analog(mu, A2.zero_weight()) == lusztig_q_analog(
+        mu, A2.zero_weight(), A2.borel()
+    )
+    assert all(key[0] is not None for key in A2._q_partitions)
+    gamma = A2.weight((1, 1), basis="root")
+    assert q_partition(gamma) is q_partition(gamma, A2.borel())

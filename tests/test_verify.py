@@ -4,11 +4,18 @@ import random
 import pytest
 
 from lieq import (
+    Caps,
     Partition,
     QPolynomial,
+    bk_jump_polynomial,
+    build_chevalley,
     build_irrep,
     build_root_system,
     cht,
+    freudenthal_multiplicity,
+    lusztig_q_analog,
+    principal_nilpotent,
+    q_partition,
     vanishing_certificate,
     verify_theorem,
 )
@@ -198,3 +205,43 @@ def test_report_json_round_trip():
     assert data["r"] == {"3": 1}
     assert data["parabolic"] == [2]
     assert data["certificate"] == "PCharacter"
+
+
+A2 = build_root_system("A", 2)
+A3 = build_root_system("A", 3)
+MIXED_CALLS = {
+    "weight sum": lambda: A2.weight((1, 1)) + A3.zero_weight(),
+    "weight difference": lambda: A2.weight((1, 1)) - A3.zero_weight(),
+    "filtration": lambda: bk_jump_polynomial(
+        build_irrep(A2, A2.weight((1, 1))),
+        principal_nilpotent(build_chevalley(A3)),
+        A2.zero_weight(),
+        A2.borel(),
+    ),
+    "q-analog": lambda: lusztig_q_analog(A2.weight((1, 1)), A3.zero_weight()),
+    "q-partition": lambda: q_partition(A2.weight((1, 1)), A3.parabolic([0])),
+    "freudenthal": lambda: freudenthal_multiplicity(A2.weight((1, 1)), A3.zero_weight()),
+    "verify lambda": lambda: verify_theorem(
+        A2, A2.weight((1, 1)), A3.zero_weight(), "principal"
+    ),
+    "verify mu": lambda: verify_theorem(
+        A2, A3.weight((0, 1, 0)), A2.zero_weight(), "principal"
+    ),
+    "module": lambda: build_irrep(A2, A3.weight((0, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("call", MIXED_CALLS.values(), ids=MIXED_CALLS.keys())
+def test_objects_of_different_root_systems_are_refused(call):
+    with pytest.raises(ValueError, match="cannot combine objects of A2 and A3"):
+        call()
+
+
+def test_systems_that_differ_only_in_caps_still_combine():
+    other = build_root_system("A", 2, Caps(module_dim=100))
+    assert other is not A2
+    mu = A2.weight((1, 1))
+    assert (mu - other.zero_weight()).fc == (1, 1)
+    assert lusztig_q_analog(mu, other.zero_weight()) == QPolynomial({1: 1, 2: 1})
+    report = verify_theorem(A2, mu, other.zero_weight(), "principal")
+    assert report.equal and report.r == QPolynomial({1: 1, 2: 1})

@@ -240,7 +240,7 @@ def test_verify_runs_entries_above_the_weyl_cap(tmp_path, capsys, monkeypatch):
 
 
 def _readme_block(text, fence, after):
-    """The lines of the first ```fence block after the heading line."""
+    """The text of the first ```fence block after the first `after`."""
     start = text.index(f"```{fence}\n", text.index(after)) + len(fence) + 4
     return text[start:text.index("```", start)]
 

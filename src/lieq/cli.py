@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .chevalley import build_chevalley
 from .config import DEFAULT_SEED, CapExceeded
@@ -26,7 +27,7 @@ from .orbits import (
     partition_labels,
 )
 from .qanalog import lusztig_q_analog, q_partition
-from .rootsystem import build_root_system, weyl_group_order
+from .rootsystem import _DIAGRAMS, build_root_system, weyl_group_order
 from .verify import orbit_data, orbit_labels, verify_theorem
 
 
@@ -59,8 +60,7 @@ def _parabolic_from(system, args):
 
 
 def _add_system_args(parser):
-    parser.add_argument("--type", required=True,
-                        choices=["A", "B", "C", "D", "G2", "F4"])
+    parser.add_argument("--type", required=True, choices=list(_DIAGRAMS))
     parser.add_argument("--rank", required=True, type=int)
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--root-coords", action="store_true",
@@ -377,13 +377,20 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  A warning the library raises is printed as
+    one line, `warning: <message>`, and does not change the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.func(args)
+        except (ValueError, RuntimeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -135,12 +135,11 @@ class ExplicitModule:
                 # X_root = [X_a, X_rest] / N for the first simple root a
                 # whose removal leaves a root, N read from the ad table
                 by_rc = self.system._root_by_rc
-                for i in range(self.system.rank):
-                    unit = tuple(int(j == i) for j in range(self.system.rank))
-                    rest = by_rc.get(tuple(a - b for a, b in zip(root.rc, unit)))
+                for alpha in self.system.simple_roots:
+                    rest = by_rc.get(tuple(a - b for a, b in zip(root.rc, alpha.rc)))
                     if rest is not None:
                         break
-                first = algebra.x_index(by_rc[unit], sign)
+                first = algebra.x_index(alpha, sign)
                 second = algebra.x_index(rest, sign)
                 scale = Fraction(1, algebra._ad[first][second][basis_index])
                 cols = self._commutator_cols(
@@ -259,10 +258,7 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
     ints; `build_irrep` writes the module's e maps from the raising
     images, and `ExplicitModule.f_cols` the f maps from the columns."""
     rank = system.rank
-    alpha_fc = [
-        system._root_by_rc[tuple(1 if j == i else 0 for j in range(rank))].fc
-        for i in range(rank)
-    ]
+    alpha_fc = [alpha.fc for alpha in system.simple_roots]
     echelons: dict = {}
     weights: list = [mu.fc]
     raising: list = [(1, {})]
@@ -362,11 +358,7 @@ def build_irrep(system: RootSystem, mu: Weight) -> ExplicitModule:
 
 def principal_nilpotent(algebra: ChevalleyAlgebra) -> AlgebraElement:
     """Sum of the simple positive root vectors."""
-    system = algebra.system
     out = algebra.zero()
-    for i in range(system.rank):
-        root = system._root_by_rc[
-            tuple(1 if j == i else 0 for j in range(system.rank))
-        ]
-        out = out + algebra.x(root)
+    for alpha in algebra.system.simple_roots:
+        out = out + algebra.x(alpha)
     return out

@@ -12,6 +12,15 @@ Conventions fixed here and relied on everywhere else:
 * Simple roots are numbered 1..rank left to right on the Dynkin diagram.
   In type B the last node is short, in type C it is long.  In F4 nodes
   3 and 4 are the long ones.
+
+`_DIAGRAMS` is the one table of types: for each, its rank rule and, at
+rank n, the squared lengths of the simple roots, the edges of the
+Dynkin diagram and |W|.  The Cartan matrix follows from one rule: on an
+edge {i, j}, C[i][j] = -max(|alpha_i|^2, |alpha_j|^2) / |alpha_i|^2,
+off the edges 0, and 2 on the diagonal (Humphreys, *Introduction to Lie
+Algebras and Representation Theory*, section 11).  Its scaled inverse
+(den, den * C^-1), the integer kernel of the weight arithmetic, is read
+off the kernel of [C | -I] from `linalg.sparse_nullspace`.
 """
 
 from __future__ import annotations
@@ -19,109 +28,90 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, lcm
 from operator import mul
+from typing import Callable, NamedTuple
 
 from .config import CapExceeded, Caps, caps_from_env
+from .linalg import sparse_nullspace
 
 
-# the exceptional types come in one rank; the classical ones from a least rank
-_FIXED_RANK = {"G2": 2, "F4": 4}
-_LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+def _chain(n: int) -> list:
+    """Edges of the path 1 - 2 - ... - n, 0-based."""
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+class _Diagram(NamedTuple):
+    least_rank: int
+    fixed_rank: bool     # the exceptional types come in their least rank only
+    norms: Callable      # rank -> squared lengths of the simple roots
+    edges: Callable      # rank -> Dynkin edges (i, j), 0-based
+    weyl_order: Callable  # rank -> |W|
+
+
+_DIAGRAMS = {
+    "A": _Diagram(1, False, lambda n: [1] * n, _chain, lambda n: factorial(n + 1)),
+    "B": _Diagram(2, False, lambda n: [2] * (n - 1) + [1], _chain,
+                  lambda n: 2**n * factorial(n)),
+    "C": _Diagram(2, False, lambda n: [1] * (n - 1) + [2], _chain,
+                  lambda n: 2**n * factorial(n)),
+    # nodes n-1 and n both hang off node n-2
+    "D": _Diagram(3, False, lambda n: [1] * n, lambda n: _chain(n - 1) + [(n - 3, n - 1)],
+                  lambda n: 2 ** (n - 1) * factorial(n)),
+    "G2": _Diagram(2, True, lambda n: [1, 3], _chain, lambda n: 12),
+    "F4": _Diagram(4, True, lambda n: [1, 1, 2, 2], _chain, lambda n: 1152),
+}
+
+
+def _diagram(type_label: str, rank: int) -> _Diagram:
+    """The table row of type_label, once rank is known to fit its rank
+    rule; ValueError otherwise."""
+    row = _DIAGRAMS.get(type_label)
+    if row is None:
+        raise ValueError(f"no finite root system of type {type_label}")
+    if row.fixed_rank and rank != row.least_rank:
+        raise ValueError(f"{type_label} has rank {row.least_rank}, not {rank}")
+    if rank < row.least_rank:
+        raise ValueError(
+            f"type {type_label} needs rank at least {row.least_rank}, not {rank}"
+        )
+    return row
 
 
 def _cartan_and_norms(type_label: str, rank: int):
-    """Cartan matrix rows and squared lengths of the simple roots."""
-    if type_label in _FIXED_RANK and rank != _FIXED_RANK[type_label]:
-        raise ValueError(f"{type_label} has rank {_FIXED_RANK[type_label]}, not {rank}")
-    if type_label in _LEAST_RANK and rank < _LEAST_RANK[type_label]:
-        raise ValueError(
-            f"type {type_label} needs rank at least {_LEAST_RANK[type_label]}, not {rank}"
-        )
-    n = rank
-
-    def chain(norms, bonds):
-        # bonds: {(i, j): entry c[i][j]}; unlisted adjacent pairs get -1
-        cartan = [[0] * n for _ in range(n)]
-        for i in range(n):
-            cartan[i][i] = 2
-        for (i, j), c in bonds.items():
-            cartan[i][j] = c
-        return cartan, norms
-
-    if type_label == "A":
-        bonds = {}
-        for i in range(n - 1):
-            bonds[(i, i + 1)] = bonds[(i + 1, i)] = -1
-        return chain([1] * n, bonds)
-    if type_label == "B":
-        bonds = {}
-        for i in range(n - 2):
-            bonds[(i, i + 1)] = bonds[(i + 1, i)] = -1
-        bonds[(n - 2, n - 1)] = -1   # <alpha_n, alpha_{n-1}^vee>
-        bonds[(n - 1, n - 2)] = -2   # <alpha_{n-1}, alpha_n^vee>
-        return chain([2] * (n - 1) + [1], bonds)
-    if type_label == "C":
-        bonds = {}
-        for i in range(n - 2):
-            bonds[(i, i + 1)] = bonds[(i + 1, i)] = -1
-        bonds[(n - 2, n - 1)] = -2
-        bonds[(n - 1, n - 2)] = -1
-        return chain([1] * (n - 1) + [2], bonds)
-    if type_label == "D":
-        bonds = {}
-        for i in range(n - 2):
-            bonds[(i, i + 1)] = bonds[(i + 1, i)] = -1
-        bonds[(n - 3, n - 1)] = bonds[(n - 1, n - 3)] = -1
-        return chain([1] * n, bonds)
-    if type_label == "G2":
-        # node 1 short, node 2 long (squared length 3)
-        return chain([1, 3], {(0, 1): -3, (1, 0): -1})
-    if type_label == "F4":
-        # nodes 1,2 short; nodes 3,4 long
-        bonds = {(0, 1): -1, (1, 0): -1, (2, 3): -1, (3, 2): -1,
-                 (1, 2): -2, (2, 1): -1}
-        return chain([1, 1, 2, 2], bonds)
-    raise ValueError(f"no finite root system of type {type_label}")
+    """Cartan matrix rows and squared lengths of the simple roots, from
+    the table's lengths and edges."""
+    row = _diagram(type_label, rank)
+    norms = row.norms(rank)
+    cartan = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for i, j in row.edges(rank):
+        longer = max(norms[i], norms[j])
+        cartan[i][j] = -(longer // norms[i])
+        cartan[j][i] = -(longer // norms[j])
+    return cartan, norms
 
 
 def _scaled_inverse(matrix):
     """(den, num) with num = den * matrix^-1 an integer matrix and den the
-    least positive integer that clears its denominators.  Fraction-free
-    Gauss-Jordan (Bareiss): every division is exact, and at the end each
-    diagonal entry is the last pivot d and the right half is d * matrix^-1."""
+    least positive integer that clears its denominators.  The kernel of
+    [matrix | -I] has one primitive vector (x, t) per column n + j, with
+    matrix x = t e_j and t > 0, so column j of matrix^-1 is x / t, in
+    lowest terms because (x, t) is primitive: den is the lcm of the t's."""
     n = len(matrix)
-    aug = [list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(matrix)]
-    prev = 1
-    for k in range(n):
-        piv = next(r for r in range(k, n) if aug[r][k])
-        aug[k], aug[piv] = aug[piv], aug[k]
-        p = aug[k][k]
-        for r in range(n):
-            if r != k:
-                c = aug[r][k]
-                aug[r] = [(p * x - c * y) // prev for x, y in zip(aug[r], aug[k])]
-        prev = p
-    scaled = [row[n:] for row in aug]
-    g = gcd(prev, *(x for row in scaled for x in row))
-    if prev < 0:
-        g = -g
-    return prev // g, tuple(tuple(x // g for x in row) for row in scaled)
+    rows = [
+        {**{j: c for j, c in enumerate(row) if c}, n + i: -1}
+        for i, row in enumerate(matrix)
+    ]
+    kernel = sparse_nullspace(rows, range(2 * n))
+    den = lcm(*(vec[n + j] for j, vec in enumerate(kernel)))
+    scales = [den // vec[n + j] for j, vec in enumerate(kernel)]
+    return den, tuple(
+        tuple(vec.get(i, 0) * s for vec, s in zip(kernel, scales)) for i in range(n)
+    )
 
 
 def weyl_group_order(type_label: str, rank: int) -> int:
-    n = rank
-    if type_label == "A":
-        return factorial(n + 1)
-    if type_label in ("B", "C"):
-        return 2**n * factorial(n)
-    if type_label == "D":
-        return 2 ** (n - 1) * factorial(n)
-    if type_label == "G2":
-        return 12
-    if type_label == "F4":
-        return 1152
-    raise ValueError(f"unknown type {type_label}")
+    return _diagram(type_label, rank).weyl_order(rank)
 
 
 @dataclass(frozen=True)
@@ -341,6 +331,9 @@ class RootSystem:
             tuple(norm * x for x in row) for norm, row in zip(norms, self._num)
         )
         self.positive_roots = self._close_positive_roots()
+        # alpha_1..alpha_rank: the height-1 roots lead the (height, rc)
+        # order, which puts alpha_rank first
+        self.simple_roots = self.positive_roots[rank - 1::-1]
         self._root_by_rc = {r.rc: r for r in self.positive_roots}
         self._weyl_group = None
         self._simple_refs: list = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .chevalley import build_chevalley
 from .config import DEFAULT_SEED
 from .height import cht_is_zero_fast
-from .irreps import bk_jump_polynomial, build_irrep, principal_nilpotent
+from .irreps import bk_jump_polynomial, build_irrep
 from .orbits import (
     BUILTIN_ORBITS,
     Partition,
@@ -140,11 +140,11 @@ def orbit_labels(system: RootSystem, orbit_spec):
 
 def orbit_data(system: RootSystem, orbit_spec, seed: int = DEFAULT_SEED):
     """(name, labels, representative) for an orbit specification, as
-    in `orbit_labels`."""
+    in `orbit_labels`.  The principal orbit takes no path of its own:
+    on the all-2 diagram g_2 is spanned by the simple root vectors, and
+    the first draw, their sum, is `principal_nilpotent`."""
     name, labels = orbit_labels(system, orbit_spec)
     algebra = build_chevalley(system)
-    if orbit_spec == "principal":
-        return name, labels, principal_nilpotent(algebra)
     return name, labels, good_position_representative(algebra, labels, seed)
 
 

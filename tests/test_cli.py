@@ -362,3 +362,20 @@ def test_bad_cap_variable_is_one_error_line(name, value):
     assert proc.stderr.splitlines() == [
         f"error: {name}={value!r} is not a positive integer"
     ]
+
+
+def test_non_dominant_qanalog_warns_in_one_line():
+    # a fresh interpreter, so that Python's own warning filters apply
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lieq", "qanalog", "--type", "A", "--rank", "2",
+         "--mu=-1,0", "--lambda", "0,0"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "0\n"
+    assert proc.stderr.splitlines() == [
+        "warning: q-analog requested for a non-dominant highest weight"
+    ]

@@ -13,14 +13,10 @@ import math
 import tempfile
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
-
-from lieq import (  # noqa: E402
+from lieq import (
     build_root_system,
     cht,
     cht_is_zero_fast,
@@ -29,8 +25,8 @@ from lieq import (  # noqa: E402
     star,
     weyl_dimension,
 )
-from lieq.linalg import eliminate, rank_of_sparse, sparse_nullspace  # noqa: E402
-from oracles import fraction_gauss_jordan, fraction_rank  # noqa: E402
+from lieq.linalg import eliminate, rank_of_sparse, sparse_nullspace
+from oracles import fraction_gauss_jordan, fraction_rank
 
 # Even with no example database, hypothesis caches the constants it reads
 # from the sources, at collection time.  Keep that cache in a temporary

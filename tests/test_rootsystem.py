@@ -2,13 +2,14 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from lieq import CapExceeded, Caps, build_chevalley, build_root_system
-from lieq.rootsystem import weyl_group_order
+from lieq.rootsystem import _DIAGRAMS, weyl_group_order
 
 from oracles import fraction_cartan_inverse, fraction_inner, fraction_root_coords, weyl_orbit
 
@@ -396,3 +397,49 @@ def test_integer_kernel_matches_fraction_formulas(key):
             x.denominator == 1 and x >= 0 for x in diff
         )
         assert system.dominance_leq(weight, weight)
+
+
+@pytest.mark.parametrize(
+    "key", list(ROOT_DIGESTS), ids=lambda k: k[0] if k[0] in ("G2", "F4") else f"{k[0]}{k[1]}"
+)
+def test_root_datum_from_the_diagram_table(key):
+    # every system the default caps build, as in test_root_data_invariants
+    system = build_root_system(*key)
+    n = system.rank
+    cartan, norms = system.cartan_matrix, system.simple_norms
+    edges = {frozenset(e) for e in _DIAGRAMS[key[0]].edges(n)}
+    # diag(|alpha_i|^2) C is symmetric, <= 0 off the diagonal and nonzero
+    # exactly on the edges
+    for i in range(n):
+        assert cartan[i][i] == 2
+        for j in range(n):
+            if i != j:
+                assert norms[i] * cartan[i][j] == norms[j] * cartan[j][i]
+                assert cartan[i][j] <= 0
+                assert (cartan[i][j] != 0) == (frozenset((i, j)) in edges)
+    # C num = den I
+    assert [
+        [sum(cartan[i][k] * system._num[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ] == [[system.den * (i == j) for j in range(n)] for i in range(n)]
+    assert [alpha.rc for alpha in system.simple_roots] == [
+        tuple(int(j == i) for j in range(n)) for i in range(n)
+    ]
+    # Kostant: the heights of the positive roots form the partition dual
+    # to the exponents, so |W| = prod_k (k + 1)^(c_k - c_{k+1}) with c_k
+    # the number of positive roots of height k
+    counts = Counter(root.height for root in system.positive_roots)
+    order = 1
+    for k in counts:
+        order *= (k + 1) ** (counts[k] - counts[k + 1])
+    assert weyl_group_order(*key) == order
+
+
+def test_d3_is_a3_relabelled():
+    # D3's nodes 2 and 3 both hang off node 1, which plays A3's middle node
+    a3 = build_root_system("A", 3).cartan_matrix
+    d3 = build_root_system("D", 3).cartan_matrix
+    relabel = (1, 0, 2)
+    assert [[d3[relabel[i]][relabel[j]] for j in range(3)] for i in range(3)] == [
+        list(row) for row in a3
+    ]

@@ -19,6 +19,7 @@ from lieq import (
     vanishing_certificate,
     verify_theorem,
 )
+from lieq.verify import orbit_data
 
 from oracles import all_weights
 
@@ -125,6 +126,20 @@ def test_verify_principal_equals_partition_route():
     via_principal = verify_theorem(A2, theta, A2.zero_weight(), "principal")
     assert via_partition.r == via_principal.r
     assert via_partition.m == via_principal.m
+
+
+@pytest.mark.parametrize(
+    "key",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("C", 3),
+     ("D", 4), ("G2", 2), ("F4", 4)],
+)
+def test_principal_orbit_data_is_the_principal_nilpotent(key):
+    # the principal orbit goes through good_position_representative, whose
+    # first draw on the all-2 diagram is the sum of the simple root vectors
+    system = build_root_system(*key)
+    name, labels, rep = orbit_data(system, "principal")
+    assert (name, labels) == ("principal", (2,) * system.rank)
+    assert rep == principal_nilpotent(build_chevalley(system))
 
 
 def test_verify_rejects_odd_orbits():

@@ -43,7 +43,8 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check(other)
-        return AlgebraElement(self.algebra, add_scaled(dict(self.coeffs), other.coeffs))
+        coeffs = add_scaled(dict(self.coeffs), other.coeffs.items())
+        return AlgebraElement(self.algebra, coeffs)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -81,7 +82,7 @@ class AlgebraElement:
                 for v in vectors:
                     out: dict = {}
                     for c, coeff in v.items():
-                        add_scaled(out, cols[c], coeff)
+                        add_scaled(out, cols[c].items(), coeff)
                     if out:
                         nxt.append(out)
                 vectors = nxt
@@ -334,7 +335,7 @@ class ChevalleyAlgebra:
             for j, cj in y.coeffs.items():
                 entry = row.get(j)
                 if entry:
-                    add_scaled(out, entry, ci * cj)
+                    add_scaled(out, entry.items(), ci * cj)
         return AlgebraElement(self, out)
 
     def ad_columns(self, x: AlgebraElement) -> list:
@@ -343,7 +344,7 @@ class ChevalleyAlgebra:
         cols: list = [{} for _ in range(self.dim)]
         for i, ci in x.coeffs.items():
             for j, entry in self._ad[i].items():
-                add_scaled(cols[j], entry, ci)
+                add_scaled(cols[j], entry.items(), ci)
         return cols
 
     def ad_matrix(self, x: AlgebraElement) -> list:

@@ -12,11 +12,13 @@ Algorithms* (2000).  The reduction is `linalg.eliminate` on scaled
 ints: each weight's basis vectors are its pivots, whose tails name
 them, and a candidate's tail carries its scale and its coefficients in
 them, the same rationals as a reduction over Q.  Every module carries
-weight tags and sparse generator matrices in its own coordinates, with
-`Fraction` entries, one `Fraction` object per distinct (numerator,
-denominator) pair that the int construction produces.  The raising
-maps e_i are written when the module is built and kept once: the
-operator of a simple root vector is the stored map itself.  The
+weight tags, one fc tuple per distinct weight, and sparse generator
+matrices in its own coordinates.  A map is {col: column}, each column
+a flat tuple (row0, c0, row1, c1, ...) that `linalg.entries` reads as
+pairs, with `Fraction` entries, one `Fraction` object per distinct
+(numerator, denominator) pair that the int construction produces.  The
+raising maps e_i are written when the module is built and kept once:
+the operator of a simple root vector is the stored map itself.  The
 lowering maps f_i, which only negative root vectors read, are built on
 first use by running the deterministic construction again, and kept.
 
@@ -38,7 +40,9 @@ from math import gcd, lcm
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_chevalley
 from .config import CapExceeded
-from .linalg import add_scaled, eliminate, sparse_echelon, sparse_nullspace
+from .linalg import (
+    add_scaled, eliminate, entries, flat_column, sparse_echelon, sparse_nullspace,
+)
 from .qanalog import weyl_dimension
 from .qpoly import QPolynomial
 from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
@@ -46,19 +50,21 @@ from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
 
 class ExplicitModule:
     """A concrete module: a weight-tagged basis with sparse column maps
-    for the Chevalley generators.  The raising maps come with the
-    module; the lowering maps, which only negative root vectors read,
-    are built on first use."""
+    for the Chevalley generators, each column a flat tuple of (row,
+    coeff) pairs.  The raising maps come with the module; the lowering
+    maps, which only negative root vectors read, are built on first
+    use."""
 
     def __init__(self, system, highest_weight, weights, e_cols):
         self.system = system
         self.highest_weight = highest_weight
-        self.weights = weights          # list of fc tuples, one per basis vector
-        self.e_cols = e_cols            # e_cols[i][col] = {row: coeff}
+        self.weights = weights          # fc tuple per basis vector, shared by a weight
+        self.e_cols = e_cols            # e_cols[i][col] = (row0, c0, row1, c1, ...)
         self._f_cols = None
-        self.weight_index: dict = {}
+        index: dict = {}
         for idx, fc in enumerate(weights):
-            self.weight_index.setdefault(fc, []).append(idx)
+            index.setdefault(fc, []).append(idx)
+        self.weight_index = {fc: tuple(idxs) for fc, idxs in index.items()}
         self._operator_cache: dict = {}
 
     @property
@@ -67,48 +73,54 @@ class ExplicitModule:
 
     @property
     def f_cols(self) -> list:
-        """f_cols[i][col] = {row: coeff}, from a second run of the
-        construction, which is deterministic, on the first access; then
-        kept."""
+        """f_cols[i][col] = (row0, c0, row1, c1, ...), as e_cols, from a
+        second run of the construction, which is deterministic, on the
+        first access; then kept."""
         if self._f_cols is None:
             _, _, lowering = _lower_from_highest(
                 self.system, self.highest_weight, self.dim
             )
             shared: dict = {}
             self._f_cols = [
-                {col: {k: _fraction(shared, v, den) for k, v in expr.items()}
-                 for col, (den, expr) in f_i.items()}
+                {
+                    col: flat_column(
+                        (row, _fraction(shared, v, den)) for row, v in expr.items()
+                    )
+                    for col, (den, expr) in f_i.items()
+                }
                 for f_i in lowering
             ]
         return self._f_cols
 
     def weight_space(self, lam: Weight) -> list:
         """Unit vectors (module coordinates) spanning the weight space."""
-        return [{idx: Fraction(1)} for idx in self.weight_index.get(lam.fc, [])]
+        return [{idx: Fraction(1)} for idx in self.weight_index.get(lam.fc, ())]
 
     def l_highest_space(self, lam: Weight, parabolic: Parabolic) -> list:
         """Basis of the vectors of weight lam killed by the raising
         operators of the parabolic's Levi, as primitive int vectors:
         the unit vectors for the Borel, else `sparse_nullspace` over
         the weight space's indices in order."""
-        indices = self.weight_index.get(lam.fc, [])
+        indices = self.weight_index.get(lam.fc, ())
         if not parabolic.indices:
             return [{idx: 1} for idx in indices]
         constraints: dict = {}
         for i in sorted(parabolic.indices):
             for idx in indices:
-                for row, coeff in self.e_cols[i].get(idx, {}).items():
+                for row, coeff in entries(self.e_cols[i].get(idx, ())):
                     constraints.setdefault((i, row), {})[idx] = coeff
         return sparse_nullspace(constraints.values(), indices)
 
     # -- generator / element action ------------------------------------
 
     def apply_cols(self, cols, vec: dict) -> dict:
+        """The flat columns cols applied to vec: the sum of c times
+        column col over vec's items (col, c)."""
         out: dict = {}
         for col, c in vec.items():
             column = cols.get(col)
             if column:
-                add_scaled(out, column, c)
+                add_scaled(out, entries(column), c)
         return out
 
     def _basis_operator(self, basis_index: int):
@@ -122,7 +134,7 @@ class ExplicitModule:
         if kind[0] == "h":
             i = kind[1]
             cols = {
-                idx: {idx: Fraction(self.weights[idx][i])}
+                idx: (idx, Fraction(self.weights[idx][i]))
                 for idx in range(self.dim)
                 if self.weights[idx][i]
             }
@@ -149,14 +161,16 @@ class ExplicitModule:
         return cols
 
     def _commutator_cols(self, a, b, scale: Fraction):
-        """Columns of scale * [a, b] from the columns of a and b: column
-        col is a(b[col]) - b(a[col]), zero outside both maps' columns."""
+        """Flat columns of scale * [a, b] from the columns of a and b:
+        column col is a(b[col]) - b(a[col]), zero outside both maps'
+        columns."""
         cols = {}
         for col in sorted(a.keys() | b.keys()):
-            out = self.apply_cols(a, b.get(col, {}))
-            add_scaled(out, self.apply_cols(b, a.get(col, {})), -1)
+            out = self.apply_cols(a, dict(entries(b.get(col, ()))))
+            ba = self.apply_cols(b, dict(entries(a.get(col, ()))))
+            add_scaled(out, ba.items(), -1)
             if out:
-                cols[col] = {k: v * scale for k, v in out.items()}
+                cols[col] = flat_column((k, v * scale) for k, v in out.items())
         return cols
 
     def apply_element(self, x: AlgebraElement, vec: dict) -> dict:
@@ -168,7 +182,7 @@ class ExplicitModule:
             for col, c in vec.items():
                 column = op.get(col)
                 if column:
-                    add_scaled(out, column, coeff * c)
+                    add_scaled(out, entries(column), coeff * c)
         return out
 
     def __repr__(self):
@@ -289,7 +303,9 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
             if not image:
                 continue
             target_fc = tuple(a - b for a, b in zip(fc, alpha_fc[i]))
-            rows = echelons.setdefault(target_fc, {})
+            # the echelon key is the one fc tuple every basis vector of
+            # this weight shares
+            target_fc, rows = echelons.setdefault(target_fc, (target_fc, {}))
             image, tail = eliminate(image, {-1: scale * den}, rows)
             if image:
                 new_idx = len(weights)
@@ -349,9 +365,12 @@ def build_irrep(system: RootSystem, mu: Weight) -> ExplicitModule:
         weights, raising, _ = _lower_from_highest(system, mu, dim)
         e_cols: list = [dict() for _ in range(system.rank)]
         shared: dict = {}
+        # columns are short (about 1.3 entries), so each grows by
+        # concatenation, which is cheaper than grouping rows first
         for idx, (den, images) in enumerate(raising):
             for (j, row), v in images.items():
-                e_cols[j].setdefault(idx, {})[row] = _fraction(shared, v, den)
+                cols = e_cols[j]
+                cols[idx] = cols.get(idx, ()) + (row, _fraction(shared, v, den))
         module = system._irreps[mu.fc] = ExplicitModule(system, mu, weights, e_cols)
     return module
 

@@ -1,26 +1,45 @@
 """Exact sparse linear algebra over the integers.
 
-Vectors are dicts from a sortable key to a coefficient.  `add_scaled`
-is the one sparse update (out += c * vec, zeros dropped), and
-`eliminate` the one row reduction, which module construction, ranks,
-kernels and the filtration share.  It is fraction-free (Bareiss, Math.
-Comp. 22, 1968) on integer-rescaled rows, which have the rank and
-kernel of the rational ones, with pivots at the least key.  Beside each
-row runs an integer tail, the combination of inputs the row stands
-for, so a kernel vector is the tail of a column that reduces to zero:
-kernel bases are primitive integer vectors, one per dependent column
-in the given order, deterministic and reproducible.
+Vectors are dicts from a sortable key to a coefficient.  A module
+keeps each column of its maps as a flat column instead, one tuple
+(k0, v0, k1, v1, ...) that `flat_column` writes and `entries` reads
+back as (key, value) pairs.  `add_scaled` takes such pairs, a dict's
+items or a flat column's entries, so it is the one sparse update
+(out += c * vec, zeros dropped) for both.  `eliminate` is the one row
+reduction, which module construction, ranks, kernels and the
+filtration share.  It is fraction-free (Bareiss, Math. Comp. 22, 1968)
+on integer-rescaled rows, which have the rank and kernel of the
+rational ones, with pivots at the least key.  Beside each row runs an
+integer tail, the combination of inputs the row stands for, so a
+kernel vector is the tail of a column that reduces to zero: kernel
+bases are primitive integer vectors, one per dependent column in the
+given order, deterministic and reproducible.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 
 
-def add_scaled(out: dict, vec: dict, c=1) -> dict:
-    """out += c * vec in place, dropping every key whose coefficient
+def flat_column(pairs) -> tuple:
+    """The flat column (k0, v0, k1, v1, ...) of (key, value) pairs, in
+    their order: one tuple where a dict would hold the same entries."""
+    return tuple(chain.from_iterable(pairs))
+
+
+def entries(column: tuple):
+    """The (key, value) pairs of a flat column (k0, v0, k1, v1, ...),
+    read two at a time, in order."""
+    it = iter(column)
+    return zip(it, it)
+
+
+def add_scaled(out: dict, pairs, c=1) -> dict:
+    """out += c * vec in place, vec given by its (key, value) pairs
+    (`dict.items()` or `entries`), dropping every key whose coefficient
     becomes zero; returns out."""
-    for k, v in vec.items():
+    for k, v in pairs:
         nv = out.get(k, 0) + c * v
         if nv:
             out[k] = nv
@@ -51,9 +70,9 @@ def eliminate(row: dict, tail: dict, pivots: dict) -> tuple:
                 row[k] *= r
             for k in tail:
                 tail[k] *= r
-        add_scaled(row, prow, -c)
+        add_scaled(row, prow.items(), -c)
         if ptail:
-            add_scaled(tail, ptail, -c)
+            add_scaled(tail, ptail.items(), -c)
         g = gcd(*row.values(), *tail.values())
         if g > 1:
             row = {k: v // g for k, v in row.items()}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .config import DEFAULT_SEED
-from .rootsystem import Parabolic, RootSystem
+from .rootsystem import Parabolic, RootSystem, _integers
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class Partition:
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = _integers(self.parts, "partition part")
         object.__setattr__(self, "parts", parts)
         if not parts or any(p <= 0 for p in parts):
             raise ValueError("partition parts must be positive")

@@ -29,7 +29,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from operator import mul
+from operator import index, mul
 from typing import Callable, NamedTuple
 
 from .config import CapExceeded, Caps, caps_from_env
@@ -133,6 +133,18 @@ class Root:
         return f"Root{self.rc}"
 
 
+def _integers(values, what: str) -> tuple:
+    """values as a tuple of ints, each read with `operator.index`, so a
+    float or Fraction raises ValueError naming it instead of being
+    truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise ValueError(f"{what} {bad!r} is not an integer") from None
+
+
 class Weight:
     """Integer weight in fundamental coordinates, bound to its system."""
 
@@ -140,7 +152,7 @@ class Weight:
 
     def __init__(self, system: "RootSystem", fc):
         self.system = system
-        self.fc = tuple(int(x) for x in fc)
+        self.fc = _integers(fc, "coordinate")
         if len(self.fc) != system.rank:
             raise ValueError("coordinate length does not match rank")
 
@@ -260,7 +272,7 @@ class Parabolic:
 
     def __init__(self, system: "RootSystem", indices):
         self.system = system
-        self.indices = frozenset(int(i) for i in indices)
+        self.indices = frozenset(_integers(indices, "simple-root index"))
         for i in self.indices:
             if not 0 <= i < system.rank:
                 raise ValueError(f"simple-root index {i} out of range")
@@ -405,7 +417,7 @@ class RootSystem:
         if basis == "fundamental":
             return Weight(self, coords)
         if basis == "root":
-            return Weight(self, self._fc_of_rc(tuple(int(c) for c in coords)))
+            return Weight(self, self._fc_of_rc(_integers(coords, "coordinate")))
         raise ValueError("basis must be 'fundamental' or 'root'")
 
     def zero_weight(self) -> Weight:

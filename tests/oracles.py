@@ -322,20 +322,25 @@ def dominant_weights_with_dim_bound(system, bound):
 
 
 def operator_columns(module, x):
-    """Sparse columns {col: {row: coeff}} of an algebra element on the
-    whole module: the sum of its basis terms' operator columns."""
+    """Flat columns {col: (row0, c0, row1, c1, ...)} of an algebra
+    element on the whole module: the sum of its basis terms' operator
+    columns, each read from its flat tuple by slicing."""
     cols: dict = {}
     for basis_index, coeff in x.coeffs.items():
         op = module._basis_operator(basis_index)
         for col, column in op.items():
             dest = cols.setdefault(col, {})
-            for row, v in column.items():
+            for row, v in zip(column[::2], column[1::2]):
                 nv = dest.get(row, 0) + coeff * v
                 if nv:
                     dest[row] = nv
                 else:
                     dest.pop(row, None)
-    return {c: col for c, col in cols.items() if col}
+    return {
+        c: tuple(entry for pair in col.items() for entry in pair)
+        for c, col in cols.items()
+        if col
+    }
 
 
 def filtration_oracle(module, x, lam, parabolic):

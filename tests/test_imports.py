@@ -1,8 +1,10 @@
 """Every import in the package and in its tests is used, and so is every
 private function and class of the package: stand-ins for a linter's
 unused-import and unused-definition rules, built on the standard
-library's ast.  Every name the benchmark's tracer wraps also still
-exists in the package."""
+library's ast.  The filtration side and the q-analog side of the
+identity import nothing from each other beyond the Weyl dimension.
+Every name the benchmark's tracer wraps also still exists in the
+package."""
 
 import ast
 import collections
@@ -106,6 +108,68 @@ def test_checker_flags_an_unused_private_function():
 def test_no_unused_private_functions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_functions(sources) == []
+
+
+# The two sides of the identity stay independent: the filtration side
+# reads only the Weyl dimension from the q-analog side, which imports
+# nothing from the module side.  (importer, imported module): the names
+# the importer may take from it.
+IMPORT_RULES = {
+    **{(module, "qanalog"): {"weyl_dimension"} for module in ("irreps", "chevalley", "orbits")},
+    **{
+        (module, other): set()
+        for module in ("qanalog", "height")
+        for other in ("irreps", "chevalley", "orbits", "verify")
+    },
+}
+
+
+def forbidden_imports(sources: dict, rules: dict) -> list:
+    """(module, line, imported module, name) for every import in the
+    given {module name: source}, at any depth, that a rule forbids; an
+    imported module is named by its last dotted part, and "*" stands for
+    the whole of it."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module in (None, "lieq")
+            ):
+                pairs = [(alias.name, "*") for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                pairs = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            for target, name in pairs:
+                target = target.split(".")[-1]
+                allowed = rules.get((module, target))
+                if allowed is not None and name not in allowed:
+                    found.append((module, node.lineno, target, name))
+    return sorted(found)
+
+
+def test_checker_flags_a_forbidden_import():
+    sources = {
+        "irreps": (
+            "from .qanalog import weyl_dimension\nfrom .qanalog import q_partition\n"
+            "from .linalg import eliminate\n"
+        ),
+        "orbits": "from . import qanalog\nfrom fractions import Fraction\n",
+        "chevalley": "from lieq import qanalog\n",
+        "height": "def f():\n    from lieq.verify import verify_theorem\n",
+        "qanalog": "import lieq.chevalley\nfrom .rootsystem import Weight\n",
+        "verify": "from .irreps import build_irrep\nfrom .qanalog import q_partition\n",
+    }
+    assert forbidden_imports(sources, IMPORT_RULES) == [
+        ("chevalley", 1, "qanalog", "*"), ("height", 2, "verify", "verify_theorem"),
+        ("irreps", 2, "qanalog", "q_partition"), ("orbits", 1, "qanalog", "*"),
+        ("qanalog", 1, "chevalley", "*"),
+    ]
+
+
+def test_the_two_sides_import_nothing_from_each_other():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert forbidden_imports(sources, IMPORT_RULES) == []
 
 
 def test_traced_names_resolve_in_the_package():

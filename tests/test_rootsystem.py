@@ -16,10 +16,27 @@ from lieq.rootsystem import _DIAGRAMS, weyl_group_order
 
 from oracles import fraction_cartan_inverse, fraction_inner, fraction_root_coords, weyl_orbit
 
-ALL_TYPES = [
-    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
-    ("C", 3), ("D", 4), ("F4", 4), ("G2", 2),
-]
+POSITIVE_ROOT_COUNTS = {
+    ("A", 1): 1,
+    ("A", 2): 3,
+    ("A", 3): 6,
+    ("A", 4): 10,
+    ("A", 5): 15,
+    ("B", 2): 4,
+    ("B", 3): 9,
+    ("C", 3): 9,
+    ("D", 4): 12,
+    ("G2", 2): 6,
+    ("F4", 4): 24,
+}
+
+ALL_TYPES = sorted(POSITIVE_ROOT_COUNTS)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_positive_root_counts(key):
+    system = build_root_system(*key)
+    assert len(system.positive_roots) == POSITIVE_ROOT_COUNTS[key]
 
 
 def test_f4_positive_root_count_from_dimension():
@@ -91,6 +108,16 @@ def test_root_data_invariants(key):
         ]
     rows = [[list(r.rc), list(r.fc), r.norm_sq, r.long, list(r.coroot_fc)] for r in roots]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:12] == ROOT_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_cartan_matrix_shape(key):
+    system = build_root_system(*key)
+    for i, row in enumerate(system.cartan_matrix):
+        assert row[i] == 2
+        for j, entry in enumerate(row):
+            if i != j:
+                assert entry <= 0
 
 
 @pytest.mark.parametrize("key", ALL_TYPES)

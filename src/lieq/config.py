@@ -3,25 +3,25 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class CapExceeded(RuntimeError):
     """Raised when a computation would exceed a configured size cap."""
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Desk-scale guardrails.  All values must be positive."""
+class Caps(namedtuple("Caps", "rank weyl_order module_dim", defaults=(6, 2000, 500))):
+    """Desk-scale guardrails, a read-only value.  All values must be
+    positive."""
 
-    rank: int = 6
-    weyl_order: int = 2000
-    module_dim: int = 500
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("rank", "weyl_order", "module_dim"):
-            if getattr(self, name) <= 0:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if value <= 0:
                 raise ValueError(f"cap {name!r} must be positive")
+        return self
 
 
 def caps_from_env() -> Caps:

@@ -26,11 +26,14 @@ Filtration: an algebra element x acts on a vector as the sum of its
 basis terms, each an operator that the module builds once from its
 generator matrices and keeps (a non-simple root vector as a commutator
 of two such column maps); x itself is never built as a matrix on the
-whole module.  The filtration vectors are `Fraction`s, every sparse
-update goes through `linalg.add_scaled`, and the Levi-highest kernel
-and the ranks of the powers go through `linalg.eliminate`, as the
-construction does.  Whether x is nilpotent is decided once per element
-(`AlgebraElement.is_nilpotent`).
+whole module.  The filtration vectors are ints: x's coefficients are
+scaled once to coprime ints, and each image is scaled by the lcm of
+the denominators of the column entries it reads, which it reads by
+numerator and denominator, so the filtration makes no `Fraction`.  The
+exact action `apply_element` stays, for the tests to compare against.
+The Levi-highest kernel and the ranks of the powers go through
+`linalg.eliminate`, as the construction does.  Whether x is nilpotent
+is decided once per element (`AlgebraElement.is_nilpotent`).
 """
 
 from __future__ import annotations
@@ -213,7 +216,10 @@ def bk_jump_polynomial(
     increments.  Raises if x is not nilpotent, which x decides once
     and keeps.  Each power keeps an echelon basis of x^k applied to the
     space, so x is applied to rank-many vectors and the rank is the
-    basis's size; x is never built as a matrix on the whole module."""
+    basis's size; x is never built as a matrix on the whole module.
+    All of it runs in ints: each primitive int vector v goes to a
+    positive int multiple of x.v (`_scaled_image`), which spans the same
+    line, so the ranks are those of the exact action."""
     module.system.require_same(x.algebra.system, lam.system, parabolic.system)
     if not x.is_nilpotent():
         raise ValueError("element is not nilpotent on the module")
@@ -221,11 +227,12 @@ def bk_jump_polynomial(
     total = len(space)
     if total == 0:
         return FiltrationReport([], QPolynomial.zero())
+    terms = _scaled_terms(module, x)
     dims = []
     current = space
     steps = 0
     while True:
-        basis = sparse_echelon(module.apply_element(x, v) for v in current)
+        basis = sparse_echelon(_scaled_image(terms, v) for v in current)
         dims.append(total - len(basis))
         if not basis:
             break
@@ -240,6 +247,42 @@ def bk_jump_polynomial(
             jump[n] = d - prev
         prev = d
     return FiltrationReport(dims, QPolynomial(jump))
+
+
+def _scaled_terms(module: ExplicitModule, x: AlgebraElement) -> list:
+    """(operator, w) over x's basis terms, the coefficients w scaled to
+    coprime ints by one positive factor."""
+    coeffs = x.coeffs
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    nums = {b: c.numerator * (den // c.denominator) for b, c in coeffs.items()}
+    g = gcd(*nums.values())
+    return [(module._basis_operator(b), n // g) for b, n in nums.items()]
+
+
+def _scaled_image(terms, vec: dict) -> dict:
+    """D times x.vec, for x given by its scaled terms and vec an int
+    vector: an int vector, D the lcm of the denominators d of the column
+    entries n / d that vec touches, so that each term w c n (D // d) is
+    an int and no Fraction is made."""
+    touched = [
+        (column, w * c)
+        for op, w in terms
+        for col, c in vec.items()
+        if (column := op.get(col))
+    ]
+    den = lcm(*{f.denominator for column, _ in touched for f in column[1::2]})
+    out: dict = {}
+    # the update of `linalg.add_scaled`, inline: fed by a generator of
+    # int terms, add_scaled made this, the filtration's hot loop, slower
+    for column, wc in touched:
+        for row, f in entries(column):
+            n, d = f.as_integer_ratio()
+            v = out.get(row, 0) + wc * n * (den // d)
+            if v:
+                out[row] = v
+            else:
+                del out[row]
+    return out
 
 
 # ---------------------------------------------------------------------------

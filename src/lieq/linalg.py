@@ -8,8 +8,10 @@ items or a flat column's entries, so it is the one sparse update
 (out += c * vec, zeros dropped) for both.  `eliminate` is the one row
 reduction, which module construction, ranks, kernels and the
 filtration share.  It is fraction-free (Bareiss, Math. Comp. 22, 1968)
-on integer-rescaled rows, which have the rank and kernel of the
-rational ones, with pivots at the least key.  Beside each row runs an
+on int rows, with pivots at the least key: `sparse_echelon` takes int
+rows as they are, as the filtration makes them, while `rank_of_sparse`
+and `sparse_nullspace` rescale rational rows to int ones, which have
+the same rank and kernel.  Beside each row runs an
 integer tail, the combination of inputs the row stands for, so a
 kernel vector is the tail of a column that reduces to zero: kernel
 bases are primitive integer vectors, one per dependent column in the
@@ -91,19 +93,25 @@ def _sparse_row_to_int(row: dict) -> dict:
 
 
 def sparse_echelon(rows) -> dict:
-    """Echelon basis of the span of sparse rows: {pivot key: (R, {})},
-    R an int row with least key the pivot and no earlier pivot key."""
+    """Echelon basis of the span of sparse int rows, read as they are
+    with no rescaling pass and reduced in place: {pivot key: (R, {})},
+    R a primitive int row with least key the pivot and no earlier pivot
+    key."""
     pivots: dict = {}
-    for raw in rows:
-        row, tail = eliminate(_sparse_row_to_int(raw), {}, pivots)
+    for row in rows:
+        row, tail = eliminate(row, {}, pivots)
         if row:
+            g = gcd(*row.values())
+            if g > 1:
+                row = {k: v // g for k, v in row.items()}
             pivots[min(row)] = (row, tail)
     return pivots
 
 
 def rank_of_sparse(vecs) -> int:
-    """Rank of a family of sparse vectors (dicts key -> coefficient)."""
-    return len(sparse_echelon(vecs))
+    """Rank of a family of sparse vectors (dicts key -> rational
+    coefficient)."""
+    return len(sparse_echelon(map(_sparse_row_to_int, vecs)))
 
 
 def sparse_nullspace(rows, columns) -> list[dict]:

@@ -11,24 +11,36 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .config import DEFAULT_SEED
 from .rootsystem import Parabolic, RootSystem, _integers
 
 
-@dataclass(frozen=True)
 class Partition:
-    parts: tuple
+    """A partition, its parts a nonincreasing tuple of positive ints; a
+    read-only value."""
 
-    def __post_init__(self):
-        parts = _integers(self.parts, "partition part")
-        object.__setattr__(self, "parts", parts)
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        parts = _integers(parts, "partition part")
         if not parts or any(p <= 0 for p in parts):
             raise ValueError("partition parts must be positive")
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("partition parts must be nonincreasing")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Partition is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
 
     @property
     def total(self) -> int:

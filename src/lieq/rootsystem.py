@@ -26,7 +26,6 @@ off the kernel of [C | -I] from `linalg.sparse_nullspace`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from operator import index, mul
@@ -114,16 +113,32 @@ def weyl_group_order(type_label: str, rank: int) -> int:
     return _diagram(type_label, rank).weyl_order(rank)
 
 
-@dataclass(frozen=True)
 class Root:
-    """A positive root with both coordinate systems precomputed."""
+    """A positive root with both coordinate systems precomputed, a
+    read-only value.  Slots rather than a named tuple: the hot loops
+    read its fields, and a slot reads faster than a tuple field."""
 
-    index: int
-    rc: tuple            # simple-root coordinates
-    fc: tuple            # fundamental-weight coordinates
-    norm_sq: int
-    long: bool
-    coroot_fc: tuple     # <lam, beta^vee> = sum(coroot_fc[j] * lam.fc[j])
+    __slots__ = ("index", "rc", "fc", "norm_sq", "long", "coroot_fc")
+    # rc: simple-root coordinates; fc: fundamental-weight coordinates;
+    # coroot_fc: <lam, beta^vee> = sum(coroot_fc[j] * lam.fc[j])
+
+    def __init__(self, index, rc, fc, norm_sq, long, coroot_fc):
+        for name, value in zip(self.__slots__, (index, rc, fc, norm_sq, long, coroot_fc)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Root is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if not isinstance(other, Root):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def height(self) -> int:
@@ -417,13 +432,20 @@ class RootSystem:
         if basis == "fundamental":
             return Weight(self, coords)
         if basis == "root":
-            return Weight(self, self._fc_of_rc(_integers(coords, "coordinate")))
+            rc = _integers(coords, "coordinate")
+            if len(rc) != self.rank:
+                raise ValueError("coordinate length does not match rank")
+            return Weight(self, self._fc_of_rc(rc))
         raise ValueError("basis must be 'fundamental' or 'root'")
 
     def zero_weight(self) -> Weight:
         return Weight(self, [0] * self.rank)
 
     def fundamental_weight(self, i: int) -> Weight:
+        """omega_i, for a 0-based simple-root index i."""
+        (i,) = _integers((i,), "simple-root index")
+        if not 0 <= i < self.rank:
+            raise ValueError(f"simple-root index {i} out of range")
         return Weight(self, [1 if j == i else 0 for j in range(self.rank)])
 
     def lattice_coords(self, fc):

@@ -9,7 +9,8 @@ without a certificate are reported but never asserted equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .chevalley import build_chevalley
 from .config import DEFAULT_SEED
@@ -38,14 +39,16 @@ CERTIFICATE_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class VanishingCertificate:
-    verdict: str
-    detail: str
+class VanishingCertificate(namedtuple("VanishingCertificate", "verdict detail")):
+    """A verdict from CERTIFICATE_ORDER and its reason, a read-only
+    value."""
 
-    def __post_init__(self):
-        if self.verdict not in CERTIFICATE_ORDER:
-            raise ValueError(f"unknown verdict {self.verdict}")
+    __slots__ = ()
+
+    def __new__(cls, verdict, detail):
+        if verdict not in CERTIFICATE_ORDER:
+            raise ValueError(f"unknown verdict {verdict}")
+        return super().__new__(cls, verdict, detail)
 
     @property
     def certified(self) -> bool:
@@ -85,8 +88,10 @@ def vanishing_certificate(
     return VanishingCertificate("Unknown", "no proven vanishing condition applies")
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """One instance's filtration and q-analog, compared, with its
+    certificate."""
+
     system_key: tuple
     orbit: str
     labels: tuple

@@ -4,13 +4,16 @@ unused-import and unused-definition rules, built on the standard
 library's ast.  The filtration side and the q-analog side of the
 identity import nothing from each other beyond the Weyl dimension.
 Every name the benchmark's tracer wraps also still exists in the
-package."""
+package.  Importing the package loads neither `dataclasses` nor the
+`inspect` machinery it pulls in, which every process would pay for in
+start-up time and memory."""
 
 import ast
 import collections
 import importlib
 import importlib.util
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -200,3 +203,16 @@ def test_traced_names_resolve_in_the_package():
     rootsystem = importlib.import_module("lieq.rootsystem")
     assert "root_coords" in vars(rootsystem.RootSystem)
     assert callable(rootsystem.weyl_group_order)
+
+
+def test_importing_the_package_loads_no_dataclasses_or_inspect():
+    """In a fresh interpreter without site packages, `import lieq`
+    leaves neither `dataclasses` nor `inspect` in sys.modules."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import lieq; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

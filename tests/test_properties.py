@@ -1,6 +1,8 @@
 """Property tests over small modules: Kostant's multiplicity formula at
 q = 1 against Freudenthal's recursion, and the Weyl invariance of
-multiplicities.  Property tests over weights in a small box: the rules
+multiplicities, and the kernel filtration of a random element of n+
+with fractional coefficients against the whole-module oracle.
+Property tests over weights in a small box: the rules
 that the dominant conjugate, star and the combinatorial height cht obey
 along roots and under simple reflections, the norm bound on cht, and
 the direct predicate for cht = 0.  Property tests over small random
@@ -17,6 +19,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from lieq import (
+    AlgebraElement,
+    bk_jump_polynomial,
+    build_chevalley,
+    build_irrep,
     build_root_system,
     cht,
     cht_is_zero_fast,
@@ -26,7 +32,7 @@ from lieq import (
     weyl_dimension,
 )
 from lieq.linalg import eliminate, rank_of_sparse, sparse_nullspace
-from oracles import fraction_gauss_jordan, fraction_rank
+from oracles import filtration_oracle, fraction_gauss_jordan, fraction_rank
 
 # Even with no example database, hypothesis caches the constants it reads
 # from the sources, at collection time.  Keep that cache in a temporary
@@ -73,6 +79,45 @@ def test_multiplicity_is_invariant_under_simple_reflections(pair):
     m = freudenthal_multiplicity(mu, lam)
     for i in range(system.rank):
         assert freudenthal_multiplicity(mu, system.simple_reflection(i).apply(lam)) == m
+
+
+# many module maps have non-integral entries (in A2, A3, B2 and C3 among
+# SMALL_MODULES); these coefficients give x denominators of its own
+COEFFICIENTS = (Fraction(-2), Fraction(-1, 2), Fraction(1, 3), Fraction(1), Fraction(3))
+
+
+@st.composite
+def filtration_instance(draw):
+    """(module, x, lam, parabolic): V(mu) from SMALL_MODULES, x a sum of
+    positive root vectors with coefficients from COEFFICIENTS, lam a
+    weight of V(mu) drawn by multiplicity, and the Borel or a random
+    standard parabolic."""
+    key, mu_fc = draw(st.sampled_from(SMALL_MODULES))
+    system = build_root_system(*key)
+    module = build_irrep(system, system.weight(mu_fc))
+    algebra = build_chevalley(system)
+    roots = draw(st.lists(st.sampled_from(system.positive_roots), min_size=1))
+    # half the time every simple root vector too, so x has long strings
+    if draw(st.booleans()):
+        roots += system.simple_roots
+    terms = sorted({algebra.x_index(root) for root in roots})
+    x = AlgebraElement(algebra, {b: draw(st.sampled_from(COEFFICIENTS)) for b in terms})
+    lam = system.weight(draw(st.sampled_from(module.weights)))
+    # the Borel half the time: its Levi-highest spaces are the whole
+    # weight spaces, where a wrong scale is likeliest to change a rank
+    levi = draw(st.one_of(st.just(()), st.sets(st.integers(0, system.rank - 1))))
+    return module, x, lam, system.parabolic(levi)
+
+
+# more examples than the other properties: a wrong scale shows only where
+# an image mixes entries of different denominators
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(filtration_instance())
+def test_filtration_matches_the_whole_module_oracle(instance):
+    module, x, lam, parabolic = instance
+    report = bk_jump_polynomial(module, x, lam, parabolic)
+    dims, jump = filtration_oracle(module, x, lam, parabolic)
+    assert (report.subspace_dims, report.jump_polynomial) == (dims, jump)
 
 
 HEIGHT_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("G2", 2)]

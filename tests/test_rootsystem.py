@@ -359,6 +359,24 @@ def test_non_integral_input_is_refused_not_truncated(entry, bad):
         entry(system)
 
 
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        (lambda s: s.fundamental_weight(0.5), "simple-root index 0.5 is not an integer"),
+        (lambda s: s.fundamental_weight(7), "simple-root index 7 out of range"),
+        (lambda s: s.fundamental_weight(-1), "simple-root index -1 out of range"),
+        (lambda s: s.weight((1, 0, 5), "root"), "coordinate length does not match rank"),
+        (lambda s: s.weight((1,), "root"), "coordinate length does not match rank"),
+    ],
+    ids=["fractional index", "index past rank", "negative index", "long root coords",
+         "short root coords"],
+)
+def test_out_of_range_index_or_length_is_refused(entry, message):
+    system = build_root_system("A", 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(system)
+
+
 def test_g2_nilradical_of_long_node_parabolic():
     G2 = build_root_system("G2", 2)
     P = G2.parabolic([1])

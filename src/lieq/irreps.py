@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import sub
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_chevalley
 from .config import CapExceeded
@@ -301,8 +302,13 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
     expresses the others in them.
 
     The reduction is `linalg.eliminate`, on ints.  A basis vector's
-    raising images are kept as (den, {(j, row): int}) and an f_i column
-    as (den, {target: int}).  Each weight keeps its linalg pivots
+    raising images are kept as (den, {j * dim + row: int}), an int key
+    that orders as the pair (j, row) would, and an f_i column as
+    (den, {target: int}).  A candidate's images are summed in one pass
+    over b's images, with S the lcm of the denominators of the f_i
+    columns read so far; when S grows, the partial sum is rescaled.
+    Each weight looks up the pivots of its targets wt b - alpha_i once,
+    on its first candidate f_i.b.  Each weight keeps its linalg pivots
     {pivot: (R, {index: -r})}: R is a primitive int row with least key
     the pivot and R[pivot] = r > 0, r times the images of basis vector
     b = `index`, so its tail counts R as -r times -b.  A candidate v
@@ -313,10 +319,16 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
 
     Returns the weights, the raising images and the f_i columns, all in
     ints; `build_irrep` writes the module's e maps from the raising
-    images, and `ExplicitModule.f_cols` the f maps from the columns."""
+    images, decoding each key with divmod, and `ExplicitModule.f_cols`
+    the f maps from the columns."""
     rank = system.rank
     alpha_fc = [alpha.fc for alpha in system.simple_roots]
+    # weight fc -> its pivots; the key is the one fc tuple every basis
+    # vector of the weight shares
     echelons: dict = {}
+    # weight fc -> [(fc - alpha_i, its pivots) for each i], each entry
+    # looked up on the first candidate f_i.b of that weight
+    below: dict = {}
     weights: list = [mu.fc]
     raising: list = [(1, {})]
     lowering: list = [dict() for _ in range(rank)]
@@ -324,31 +336,39 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
     while cursor < len(weights):
         fc = weights[cursor]
         den, images = raising[cursor]
+        targets = below.setdefault(fc, [None] * rank)
         for i in range(rank):
             f_i = lowering[i]
             scale = 1
-            for _, row in images:
+            image: dict = {i * dim + cursor: fc[i] * den} if fc[i] else {}
+            for key, c in images.items():
+                row = key % dim
                 column = f_i.get(row)
-                if column is not None:
-                    scale = lcm(scale, column[0])
-            image: dict = {(i, cursor): fc[i] * den * scale} if fc[i] else {}
-            for (j, row), c in images.items():
-                column = f_i.get(row)
-                if column is not None:
-                    c *= scale // column[0]
-                    for target, a in column[1].items():
-                        key = (j, target)
-                        v = image.get(key, 0) + c * a
-                        if v:
-                            image[key] = v
-                        else:
-                            del image[key]
+                if column is None:
+                    continue
+                d, expr = column
+                if scale % d:
+                    # the lcm of the denominators grew: rescale what is in
+                    grow = lcm(scale, d) // scale
+                    scale *= grow
+                    for k in image:
+                        image[k] *= grow
+                c *= scale // d
+                base = key - row
+                for low, a in expr.items():
+                    k = base + low
+                    v = image.get(k, 0) + c * a
+                    if v:
+                        image[k] = v
+                    else:
+                        del image[k]
             if not image:
                 continue
-            target_fc = tuple(a - b for a, b in zip(fc, alpha_fc[i]))
-            # the echelon key is the one fc tuple every basis vector of
-            # this weight shares
-            target_fc, rows = echelons.setdefault(target_fc, (target_fc, {}))
+            slot = targets[i]
+            if slot is None:
+                t = tuple(map(sub, fc, alpha_fc[i]))
+                slot = targets[i] = echelons.setdefault(t, (t, {}))
+            target_fc, rows = slot
             image, tail = eliminate(image, {-1: scale * den}, rows)
             if image:
                 new_idx = len(weights)
@@ -411,7 +431,8 @@ def build_irrep(system: RootSystem, mu: Weight) -> ExplicitModule:
         # columns are short (about 1.3 entries), so each grows by
         # concatenation, which is cheaper than grouping rows first
         for idx, (den, images) in enumerate(raising):
-            for (j, row), v in images.items():
+            for key, v in images.items():
+                j, row = divmod(key, dim)
                 cols = e_cols[j]
                 cols[idx] = cols.get(idx, ()) + (row, _fraction(shared, v, den))
         module = system._irreps[mu.fc] = ExplicitModule(system, mu, weights, e_cols)

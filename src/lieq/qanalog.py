@@ -7,10 +7,12 @@ the q-analog of weight multiplicity; at q = 1 it collapses to the
 ordinary multiplicity, which Freudenthal's recursion and the Weyl
 dimension formula compute independently.
 
-q_partition fills one box DP per weight, each root walking by strides
-only the cells above it.  Freudenthal's recursion takes the dominant
-weights below the highest weight from `height.dominant_interval`, in
-order of chain depth; that walk belongs to neither side of the
+A q-analog walks its Weyl orbit first and then fills one box DP for
+all the points of the walk that the system's cache misses, each root
+walking by strides only the cells above it; q_partition is the
+one-point case of the same lookup.  Freudenthal's recursion takes the
+dominant weights below the highest weight from `height.dominant_interval`,
+in order of chain depth; that walk belongs to neither side of the
 identity, so the q-analog side still builds no module.
 """
 
@@ -30,6 +32,55 @@ def _nilradical_roots(system: RootSystem, parabolic: Parabolic):
     return [r for r in system.positive_roots if r.rc not in inside]
 
 
+def _partition_table(system: RootSystem, parabolic: Parabolic, top) -> tuple:
+    """(strides, cells): the graded partition count of every point of
+    the box [0, top] in root coordinates, cell sum(rc * strides) a
+    {degree: count} dict for the point rc, or None where it is zero.
+
+    One dense DP over the box with a pass per root outside the Levi.  A
+    root's pass walks, by strides, only the cells at or above the root,
+    in increasing index order, so each cell already counts the root's
+    uses below it."""
+    sizes = [c + 1 for c in top]
+    strides = [0] * len(sizes)
+    acc = 1
+    for i in range(len(sizes) - 1, -1, -1):
+        strides[i] = acc
+        acc *= sizes[i]
+    cells: list = [None] * acc
+    cells[0] = {0: 1}
+    for root in _nilradical_roots(system, parabolic):
+        offset = sum(map(mul, root.rc, strides))
+        above = itertools.product(
+            *(range(r * st, s * st, st) for r, s, st in zip(root.rc, sizes, strides))
+        )
+        for idx in map(sum, above):
+            src = cells[idx - offset]
+            if src:
+                cell = cells[idx]
+                if cell is None:
+                    cell = cells[idx] = {}
+                for deg, c in src.items():
+                    cell[deg + 1] = cell.get(deg + 1, 0) + c
+    return strides, cells
+
+
+def _partitions(system: RootSystem, parabolic: Parabolic, points) -> list:
+    """q_partition at each point of points, given by root coordinates
+    >= 0, read from the system's cache.  The points it misses are
+    filled from one `_partition_table` over their coordinate-wise max
+    and cached; no other cell of the table is kept."""
+    cache = system._q_partitions
+    key = parabolic.key
+    missing = [rc for rc in points if (key, rc) not in cache]
+    if missing:
+        top = tuple(map(max, zip(*missing)))
+        strides, cells = _partition_table(system, parabolic, top)
+        for rc in missing:
+            cache[(key, rc)] = QPolynomial(cells[sum(map(mul, rc, strides))])
+    return [cache[(key, rc)] for rc in points]
+
+
 def q_partition(gamma: Weight, parabolic: Parabolic | None = None) -> QPolynomial:
     """Graded count of ways to write gamma as a sum of positive roots
     outside the parabolic (all positive roots for the Borel, which
@@ -37,45 +88,16 @@ def q_partition(gamma: Weight, parabolic: Parabolic | None = None) -> QPolynomia
     with exactly n summands.  Zero polynomial when gamma is outside the
     Z>=0 span.
 
-    One dense DP over the box [0, rc(gamma)] with a pass per root.  A
-    root's pass walks, by strides, only the cells at or above the root,
-    in increasing index order, so each cell already counts the root's
-    uses below it."""
+    The one-point case of `lusztig_q_analog`'s lookup: cached on the
+    system per (parabolic, root coordinates), a miss filled from one
+    `_partition_table` over the box [0, rc(gamma)]."""
     system = gamma.system
     parabolic = parabolic or system.borel()
     system.require_same(parabolic.system)
     rc = system.lattice_coords(gamma.fc)
     if rc is None or any(x < 0 for x in rc):
         return QPolynomial.zero()
-    cache_key = (parabolic.key, rc)
-    hit = system._q_partitions.get(cache_key)
-    if hit is not None:
-        return hit
-    sizes = [c + 1 for c in rc]
-    strides = [0] * len(sizes)
-    acc = 1
-    for i in range(len(sizes) - 1, -1, -1):
-        strides[i] = acc
-        acc *= sizes[i]
-    total = acc
-    dp: list = [None] * total
-    dp[0] = {0: 1}
-    for root in _nilradical_roots(system, parabolic):
-        offset = sum(map(mul, root.rc, strides))
-        above = itertools.product(
-            *(range(r * st, s * st, st) for r, s, st in zip(root.rc, sizes, strides))
-        )
-        for idx in map(sum, above):
-            src = dp[idx - offset]
-            if src:
-                cell = dp[idx]
-                if cell is None:
-                    cell = dp[idx] = {}
-                for deg, c in src.items():
-                    cell[deg + 1] = cell.get(deg + 1, 0) + c
-    out = QPolynomial(dp[total - 1] or {})
-    system._q_partitions[cache_key] = out
-    return out
+    return _partitions(system, parabolic, [rc])[0]
 
 
 def lusztig_q_analog(
@@ -90,34 +112,38 @@ def lusztig_q_analog(
     of the w with y = w x.  Such a step lowers the i-th root coordinate
     of y - rho - lam by y_i, so those coordinates only fall along the
     walk and a branch can stop at the first negative one.  A singular
-    mu + rho is fixed by a reflection, whose terms cancel in pairs."""
+    mu + rho is fixed by a reflection, whose terms cancel in pairs.
+
+    The walk first collects the root coordinates of every point it
+    reaches; the terms are then read from the system's cache, and the
+    points it misses are filled from one DP table, whose box is never
+    larger than the starting point's."""
     system = mu.system
     parabolic = parabolic or system.borel()
     system.require_same(lam.system, parabolic.system)
     if not mu.is_dominant():
         warnings.warn("q-analog requested for a non-dominant highest weight")
-    acc = QPolynomial.zero()
     shifted = mu + system.rho
     x = system.dominant_weight_fc(shifted.fc)
     if 0 in x:
-        return acc
+        return QPolynomial.zero()
+    rc = system.lattice_coords([a - 1 - b for a, b in zip(x, lam.fc)])
+    if rc is None or any(c < 0 for c in rc):
+        return QPolynomial.zero()
     # x = v(mu + rho) and w(mu + rho) = (w v^-1) x, so every term carries
     # sign(v) = (-1)^#{beta > 0 : <mu + rho, beta^vee> < 0} on top
     flips = sum(system.pair(shifted, root) < 0 for root in system.positive_roots)
     sign = -1 if flips % 2 else 1
-    rc = system.lattice_coords([a - 1 - b for a, b in zip(x, lam.fc)])
-    if rc is None or any(c < 0 for c in rc):
-        return acc
     rank = system.rank
     cols = system._cartan_cols
+    points: list = []
+    signs: list = []
     frontier = {x: rc}
     while frontier:
+        points.extend(frontier.values())
+        signs.extend([sign] * len(frontier))
         nxt = {}
         for y, rc in frontier.items():
-            gamma = Weight(system, [a - 1 - b for a, b in zip(y, lam.fc)])
-            term = q_partition(gamma, parabolic)
-            if term:
-                acc = acc + term if sign > 0 else acc - term
             for i in range(rank):
                 c = y[i]
                 if c > 0 and rc[i] >= c:
@@ -126,7 +152,11 @@ def lusztig_q_analog(
                         nxt[step] = rc[:i] + (rc[i] - c,) + rc[i + 1:]
         frontier = nxt
         sign = -sign
-    return acc
+    acc: dict = {}
+    for sign, term in zip(signs, _partitions(system, parabolic, points)):
+        for deg, c in term.coeffs.items():
+            acc[deg] = acc.get(deg, 0) + sign * c
+    return QPolynomial(acc)
 
 
 def weyl_dimension(mu: Weight) -> int:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: ranks and
 kernels come from a plain Gauss-Jordan elimination over Fraction,
-partition counts from exhaustive multiset enumeration, star/cht from
+partition counts from exhaustive multiset enumeration, type-A Borel
+q-analogs from the charge of semistandard tableaux, star/cht from
 box enumeration over the full weight interval with a comparability DP,
 simple-root coordinates from a Fraction inverse of the Cartan matrix,
 q-analogs from the plain sum over every Weyl group element, Weyl
@@ -146,6 +147,79 @@ def partition_poly_oracle(system, gamma, roots) -> QPolynomial:
                 rec(i + 1, rest, used + mult)
 
     rec(0, target, 0)
+    return QPolynomial(counts)
+
+
+def semistandard_tableaux(shape, content) -> list:
+    """Every semistandard tableau of the partition shape with the given
+    content, as a tuple of rows.  The entries k fill a horizontal strip
+    of content[k - 1] boxes on the shape of the entries below k: a row
+    grows to at most the length of the row above before the step."""
+    rows = len(shape)
+    out = []
+
+    def strips(inner, r, left, outer):
+        if r == rows:
+            if not left:
+                yield outer
+            return
+        hi = min(shape[r], inner[r - 1] if r else shape[0], inner[r] + left)
+        for o in range(inner[r], hi + 1):
+            yield from strips(inner, r + 1, left - (o - inner[r]), outer + (o,))
+
+    def rec(k, inner, filled):
+        if k > len(content):
+            if inner == tuple(shape):
+                out.append(filled)
+            return
+        for outer in strips(inner, 0, content[k - 1], ()):
+            grown = tuple(row + (k,) * (o - i) for row, o, i in zip(filled, outer, inner))
+            rec(k + 1, outer, grown)
+
+    rec(1, (0,) * rows, ((),) * rows)
+    return out
+
+
+def charge(word) -> int:
+    """Lascoux-Schutzenberger charge of a word of partition content
+    (C. R. Acad. Sci. Paris 286, 1978).  From the right end, read to
+    the left for a 1, then on to the left for a 2, and so on, going
+    back to the right end when the letter is not found before the left
+    end.  Letter 1 has index 0, and letter r + 1 the index of r, plus
+    one when the search for it went back to the right end.  The charge
+    is the sum of the indices of this standard subword plus the charge
+    of the word left when it is taken out."""
+    word = list(word)
+    total = 0
+    while word:
+        picked = set()
+        pos = len(word)
+        index = 0
+        for r in range(1, max(word) + 1):
+            left = [p for p in range(pos - 1, -1, -1) if word[p] == r]
+            if left:
+                pos = left[0]
+            else:
+                pos = max(p for p, a in enumerate(word) if a == r)
+                index += 1
+            total += index
+            picked.add(pos)
+        word = [a for p, a in enumerate(word) if p not in picked]
+    return total
+
+
+def kostka_foulkes_oracle(shape, content) -> QPolynomial:
+    """K_{shape, content}(q): q to the charge of each semistandard
+    tableau of the shape and content, its word read row by row from the
+    bottom row up, each row from left to right.  For dominant weights
+    of sl_n, given as partitions of the same size with at most n parts,
+    this is Lusztig's Borel q-analog of the multiplicity of the weight
+    content in the module of highest weight shape (Lusztig, Asterisque
+    101-102, 1983; Kato, Invent. Math. 66, 1982)."""
+    counts: dict = {}
+    for tableau in semistandard_tableaux(shape, content):
+        c = charge([a for row in reversed(tableau) for a in row])
+        counts[c] = counts.get(c, 0) + 1
     return QPolynomial(counts)
 
 

@@ -2,6 +2,10 @@
 q = 1 against Freudenthal's recursion, and the Weyl invariance of
 multiplicities, and the kernel filtration of a random element of n+
 with fractional coefficients against the whole-module oracle.
+Property tests over small boxes of root coordinates: every cell of a
+partition table against multiset enumeration, and the same
+q_partition whether a q-analog's shared table or a single call filled
+the cache.
 Property tests over weights in a small box: the rules
 that the dominant conjugate, star and the combinatorial height cht obey
 along roots and under simple reflections, the norm bound on cht, and
@@ -12,6 +16,7 @@ example database is kept, so every run checks the same cases."""
 
 import itertools
 import math
+import operator
 import tempfile
 from fractions import Fraction
 
@@ -20,6 +25,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from lieq import (
     AlgebraElement,
+    Caps,
+    QPolynomial,
     bk_jump_polynomial,
     build_chevalley,
     build_irrep,
@@ -28,11 +35,19 @@ from lieq import (
     cht_is_zero_fast,
     freudenthal_multiplicity,
     lusztig_q_analog,
+    q_partition,
     star,
     weyl_dimension,
 )
 from lieq.linalg import eliminate, rank_of_sparse, sparse_nullspace
-from oracles import filtration_oracle, fraction_gauss_jordan, fraction_rank
+from lieq.qanalog import _nilradical_roots, _partition_table
+from lieq.rootsystem import RootSystem
+from oracles import (
+    filtration_oracle,
+    fraction_gauss_jordan,
+    fraction_rank,
+    partition_poly_oracle,
+)
 
 # Even with no example database, hypothesis caches the constants it reads
 # from the sources, at collection time.  Keep that cache in a temporary
@@ -79,6 +94,48 @@ def test_multiplicity_is_invariant_under_simple_reflections(pair):
     m = freudenthal_multiplicity(mu, lam)
     for i in range(system.rank):
         assert freudenthal_multiplicity(mu, system.simple_reflection(i).apply(lam)) == m
+
+
+TABLE_SYSTEMS = [("A", 2), ("A", 3), ("B", 2), ("G2", 2)]
+
+
+@st.composite
+def partition_box(draw):
+    """(system, parabolic, top): a random standard parabolic and a box
+    with every root coordinate in [0, 3]."""
+    system = build_root_system(*draw(st.sampled_from(TABLE_SYSTEMS)))
+    rank = system.rank
+    levi = draw(st.sets(st.integers(0, rank - 1)))
+    top = draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank))
+    return system, system.parabolic(levi), tuple(top)
+
+
+@PROPERTY_SETTINGS
+@given(partition_box())
+def test_every_cell_of_a_partition_table_is_the_multiset_count(box):
+    system, parabolic, top = box
+    roots = _nilradical_roots(system, parabolic)
+    strides, cells = _partition_table(system, parabolic, top)
+    for rc in itertools.product(*(range(t + 1) for t in top)):
+        cell = QPolynomial(cells[sum(map(operator.mul, rc, strides))])
+        assert cell == partition_poly_oracle(system, system.weight(rc, "root"), roots)
+
+
+@PROPERTY_SETTINGS
+@given(partition_box(), st.lists(st.integers(0, 3), min_size=4, max_size=4))
+def test_q_partition_is_the_same_from_a_shared_table_or_alone(box, mu_fc):
+    # two systems of their own, so that both caches start empty: in one
+    # a q-analog's one table fills every point of its walk, in the other
+    # each point is a single call with its own table
+    system, parabolic, depth = box
+    shared, alone = (RootSystem(system.type_label, system.rank, Caps()) for _ in "ab")
+    mu = shared.weight(mu_fc[: system.rank])
+    levi = sorted(parabolic.indices)
+    lusztig_q_analog(mu, mu - shared.weight(depth, "root"), shared.parabolic(levi))
+    assert shared._q_partitions
+    for (_, rc), value in shared._q_partitions.items():
+        alone._q_partitions.clear()
+        assert q_partition(alone.weight(rc, "root"), alone.parabolic(levi)) == value
 
 
 # many module maps have non-integral entries (in A2, A3, B2 and C3 among

@@ -16,9 +16,16 @@ from lieq import (
     q_partition,
     weyl_dimension,
 )
+from lieq import qanalog
 from lieq.qanalog import _nilradical_roots
+from lieq.rootsystem import RootSystem
 
-from oracles import lusztig_q_analog_oracle, partition_poly_oracle, total_dimension_check
+from oracles import (
+    kostka_foulkes_oracle,
+    lusztig_q_analog_oracle,
+    partition_poly_oracle,
+    total_dimension_check,
+)
 
 
 def poly(coeffs):
@@ -300,3 +307,101 @@ def test_the_borel_is_one_cache_entry_whatever_its_spelling():
     assert all(key[0] is not None for key in A2._q_partitions)
     gamma = A2.weight((1, 1), basis="root")
     assert q_partition(gamma) is q_partition(gamma, A2.borel())
+
+
+def partitions(size, parts):
+    """The partitions of size with at most parts parts, padded with
+    zeros to that length, largest first."""
+    if parts == 0:
+        return [()] if size == 0 else []
+    out = []
+    for first in range(size, -1, -1):
+        for rest in partitions(size - first, parts - 1):
+            if not rest or rest[0] <= first:
+                out.append((first,) + rest)
+    return out
+
+
+# largest |lambda| per rank: about a second of tier-1 time in all
+KOSTKA_SIZES = {1: 12, 2: 14, 3: 12}
+
+
+@pytest.mark.parametrize("rank", sorted(KOSTKA_SIZES))
+def test_borel_q_analog_is_the_kostka_foulkes_polynomial(rank):
+    # m^lambda_mu(q) = K_{lambda mu}(q) for dominant lambda, mu of sl_n:
+    # the charge oracle reaches no q_partition, so it checks the DP too
+    system = build_root_system("A", rank)
+    nonzero = 0
+    for size in range(KOSTKA_SIZES[rank] + 1):
+        shapes = partitions(size, rank + 1)
+        for shape in shapes:
+            mu = system.weight([a - b for a, b in zip(shape, shape[1:])])
+            for content in shapes:
+                lam = system.weight([a - b for a, b in zip(content, content[1:])])
+                expected = kostka_foulkes_oracle(shape, content)
+                assert lusztig_q_analog(mu, lam) == expected, (shape, content)
+                nonzero += bool(expected)
+    assert nonzero > 20 * rank
+
+
+def test_the_kostka_foulkes_oracle_reference_values():
+    # K_{(n), mu} = q^{n(mu)}, n(mu) = sum (i - 1) mu_i, and the two
+    # tableaux of shape (4, 1) and content (2, 2, 1) have charges 2 and 3
+    assert kostka_foulkes_oracle((2, 1, 0), (1, 1, 1)) == poly({1: 1, 2: 1})
+    assert kostka_foulkes_oracle((3, 0, 0), (1, 1, 1)) == poly({3: 1})
+    assert kostka_foulkes_oracle((2, 2, 0, 0), (1, 1, 1, 1)) == poly({2: 1, 4: 1})
+    assert kostka_foulkes_oracle((3, 1, 0, 0), (2, 1, 1, 0)) == poly({1: 1, 2: 1})
+    assert kostka_foulkes_oracle((5, 0, 0), (2, 2, 1)) == poly({4: 1})
+    assert kostka_foulkes_oracle((4, 1, 0), (2, 2, 1)) == poly({2: 1, 3: 1})
+    assert kostka_foulkes_oracle((1, 1, 1), (3, 0, 0)) == QPolynomial.zero()
+
+
+def fresh_system(type_label, rank):
+    """A root system of its own, so that its caches start empty."""
+    return RootSystem(type_label, rank, Caps())
+
+
+def walk_points(system, mu, lam):
+    """Root coordinates of every w(mu + rho) - rho - lam in the Z>=0 span
+    of the simple roots, over the whole Weyl group: the points that the
+    orbit walk of lusztig_q_analog reaches."""
+    out = set()
+    for w in system.weyl_group():
+        rc = (system.shifted_action(w, mu) - lam).root_coords()
+        if all(x >= 0 and x == int(x) for x in rc):
+            out.add(tuple(int(x) for x in rc))
+    return out
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G2", 2)])
+def test_a_q_analog_fills_one_table_and_caches_only_its_walk(key, monkeypatch):
+    fills = []
+    real = qanalog._partition_table
+
+    def counting(system, parabolic, top):
+        fills.append(top)
+        return real(system, parabolic, top)
+
+    monkeypatch.setattr(qanalog, "_partition_table", counting)
+    system = fresh_system(*key)
+    rng = random.Random(61)
+    parabolics = [None, system.parabolic([0]), system.parabolic([system.rank - 1])]
+    shared = 0
+    for _ in range(12):
+        mu = system.weight([rng.randint(0, 2) for _ in range(system.rank)])
+        lam = mu - system.weight([rng.randint(0, 2) for _ in range(system.rank)], "root")
+        P = rng.choice(parabolics)
+        pkey = (P or system.borel()).key
+        before = set(system._q_partitions)
+        walk = {(pkey, rc) for rc in walk_points(system, mu, lam)}
+        fills.clear()
+        first = lusztig_q_analog(mu, lam, P)
+        assert set(system._q_partitions) == before | walk
+        missing = [rc for _, rc in walk - before]
+        # one table, over the coordinate-wise max of the missing points
+        assert fills == ([tuple(map(max, zip(*missing)))] if missing else [])
+        shared += len(missing) > 1
+        fills.clear()
+        assert lusztig_q_analog(mu, lam, P) == first
+        assert fills == [] and set(system._q_partitions) == before | walk
+    assert shared

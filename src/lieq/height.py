@@ -25,6 +25,13 @@ next field once 2**w > top_j and 2**w >= 4 for an rc field, and
 2**w > lo_j + 2 * top_j + 3 for an fc field.  Then (node | guards) -
 root keeps every guard bit set exactly when no coordinate went
 negative, that is, when the step stays above lo and dominant.
+
+The walk has two readers.  `dominant_interval` decodes every node into
+{fc: depth}, which the Freudenthal table needs.  `cht` decodes nothing:
+it packs star(lam) once and reads its depth from level 0, the level of
+lo.  The packed steps, guards - pack(rc + fc) for each positive root,
+depend only on the field widths, so each RootSystem keeps them per
+layout; a workload meets few layouts and many intervals.
 """
 
 from __future__ import annotations
@@ -47,29 +54,37 @@ def star(lam: Weight) -> Weight:
             return Weight(system, fc)
 
 
-def dominant_interval(system: RootSystem, lo: Weight, hi: Weight) -> dict:
-    """{fc: depth} for every dominant weight delta with lo <= delta <= hi
-    reached from hi by positive-root steps, where depth is the length
-    of the longest such chain from hi down to delta.  Empty unless hi
-    is dominant and hi - lo is a sum of positive roots."""
-    top = system.lattice_coords([h - l for l, h in zip(lo.fc, hi.fc)])
-    if top is None or any(x < 0 for x in top) or not hi.is_dominant():
-        return {}
-    widths = [max(t.bit_length(), 2) for t in top]
-    widths += [(l + 2 * t + 3).bit_length() for l, t in zip(lo.fc, top)]
-    offsets, guards, offset = [], 0, 0
-    for width in widths:
-        offsets.append(offset)
-        guards |= 1 << (offset + width)
-        offset += width + 1
+def _layout(system: RootSystem, top, lo_fc):
+    """(widths, offsets, guards, steps) of the fields that fit the
+    interval from lo up by top simple roots; the steps, with
+    node + step == (node | guards) - root, are kept per widths."""
+    widths = tuple(
+        [max(t.bit_length(), 2) for t in top]
+        + [(l + 2 * t + 3).bit_length() for l, t in zip(lo_fc, top)]
+    )
+    kept = system._interval_steps.get(widths)
+    if kept is None:
+        offsets, guards, offset = [], 0, 0
+        for width in widths:
+            offsets.append(offset)
+            guards |= 1 << (offset + width)
+            offset += width + 1
+        steps = tuple(
+            (r.height, guards - _pack(r.rc + r.fc, offsets)) for r in system.positive_roots
+        )
+        kept = system._interval_steps[widths] = (offsets, guards, steps)
+    return (widths, *kept)
 
-    def pack(coords):
-        return sum(c << o for c, o in zip(coords, offsets))
 
-    # node + step == (node | guards) - root
-    steps = [(r.height, guards - pack(r.rc + r.fc)) for r in system.positive_roots]
+def _pack(coords, offsets) -> int:
+    return sum(c << o for c, o in zip(coords, offsets))
+
+
+def _walk(top, hi_fc, offsets, guards, steps) -> list:
+    """levels[h] = {node: depth} for the nodes h simple roots above lo,
+    walked down from hi = lo + top."""
     levels = [{} for _ in range(sum(top) + 1)]
-    levels[-1][pack(top + hi.fc)] = 0
+    levels[-1][_pack(top + hi_fc, offsets)] = 0
     for level in range(len(levels) - 1, -1, -1):
         for node, depth in levels[level].items():
             depth += 1
@@ -80,6 +95,20 @@ def dominant_interval(system: RootSystem, lo: Weight, hi: Weight) -> dict:
                     below = levels[level - height]
                     if below.get(child, -1) < depth:
                         below[child] = depth
+    return levels
+
+
+def dominant_interval(system: RootSystem, lo: Weight, hi: Weight) -> dict:
+    """{fc: depth} for every dominant weight delta with lo <= delta <= hi
+    reached from hi by positive-root steps, where depth is the length
+    of the longest such chain from hi down to delta.  Empty unless hi
+    is dominant and hi - lo is a sum of positive roots."""
+    system.require_same(lo.system, hi.system)
+    top = system.lattice_coords([h - l for l, h in zip(lo.fc, hi.fc)])
+    if top is None or any(x < 0 for x in top) or not hi.is_dominant():
+        return {}
+    widths, offsets, guards, steps = _layout(system, top, lo.fc)
+    levels = _walk(top, hi.fc, offsets, guards, steps)
     rank = system.rank
     fc_fields = [(o, (1 << w) - 1) for o, w in zip(offsets[rank:], widths[rank:])]
     return {
@@ -93,14 +122,19 @@ def cht(lam: Weight) -> int:
     """Longest chain of dominant weights between star(lam) and the
     dominant conjugate of lam."""
     system = lam.system
-    lo = star(lam)
-    hi = system.weight(system.dominant_weight_fc(lam.fc))
-    if lo.fc == hi.fc:
+    lo = star(lam).fc
+    hi = system.dominant_weight_fc(lam.fc)
+    if lo == hi:
         return 0
-    depths = dominant_interval(system, lo, hi)
-    if lo.fc not in depths:
+    # star(lam) is the least dominant weight above lam and hi is dominant
+    # above lam, so top is a nonnegative int vector
+    top = system.lattice_coords([h - l for l, h in zip(lo, hi)])
+    _, offsets, guards, steps = _layout(system, top, lo)
+    levels = _walk(top, hi, offsets, guards, steps)
+    depth = levels[0].get(_pack((0,) * system.rank + lo, offsets))
+    if depth is None:
         raise RuntimeError("dominant interval walk did not reach star(lam); bug")
-    return depths[lo.fc]
+    return depth
 
 
 def cht_is_zero_fast(lam: Weight) -> bool:

@@ -365,11 +365,12 @@ class RootSystem:
         self._weyl_group = None
         self._simple_refs: list = []
         self.rho = Weight(self, [1] * rank)
-        # filled on first use by chevalley, irreps and qanalog
+        # filled on first use by chevalley, irreps, qanalog and height
         self._algebra = None
         self._irreps: dict = {}             # mu fc -> ExplicitModule
         self._q_partitions: dict = {}       # (parabolic key, rc) -> QPolynomial
         self._multiplicity_tables: dict = {}  # mu fc -> Freudenthal table
+        self._interval_steps: dict = {}     # field widths -> packed root steps
 
     def require_same(self, *others: "RootSystem") -> None:
         """The one check that combined objects share a root system:
@@ -489,6 +490,7 @@ class RootSystem:
 
     def inner(self, a: Weight, b: Weight) -> Fraction:
         """Invariant inner product (short simple roots have norm 1)."""
+        self.require_same(a.system, b.system)
         return Fraction(self.inner_scaled(a.fc, b.fc), 2 * self.den)
 
     def norm_sq(self, a: Weight) -> Fraction:
@@ -510,6 +512,7 @@ class RootSystem:
 
     def dominance_leq(self, a: Weight, b: Weight) -> bool:
         """True iff b - a is a nonnegative integer sum of simple roots."""
+        self.require_same(a.system, b.system)
         rc = self.lattice_coords([y - x for x, y in zip(a.fc, b.fc)])
         return rc is not None and all(x >= 0 for x in rc)
 

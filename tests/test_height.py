@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from lieq import build_root_system, cht, cht_is_zero_fast, star
+import lieq.height
+from lieq import Caps, RootSystem, build_root_system, cht, cht_is_zero_fast, star
 from lieq.height import dominant_interval
 
 from oracles import cht_oracle, cht_two_pass_oracle, star_oracle
@@ -117,6 +118,61 @@ def test_interval_empty_off_the_cone():
     assert dominant_interval(A2, lo, hi) == {}
     assert dominant_interval(A2, hi, lo) == {}
     assert dominant_interval(A2, A2.zero_weight(), A2.weight((2, -1))) == {}
+
+
+def test_interval_refuses_weights_of_another_system():
+    A2, B2 = build_root_system("A", 2), build_root_system("B", 2)
+    with pytest.raises(ValueError, match="cannot combine objects of A2 and B2"):
+        dominant_interval(A2, B2.zero_weight(), B2.rho)
+    with pytest.raises(ValueError, match="cannot combine objects of A2 and B2"):
+        dominant_interval(A2, A2.zero_weight(), B2.rho)
+
+
+def test_cht_between_layouts():
+    # the F4 corner's wide fields between the narrow ones of a small box,
+    # on one system: each value equals the one a fresh system gives and
+    # the depth of star(lam) in the decoded interval
+    F4 = build_root_system("F4", 4)
+    corner = (-4, -4, -4, -4)
+    box = list(itertools.product(range(-2, 2), repeat=4))
+    order = []
+    for start in range(0, len(box), 16):
+        order += [corner] + box[start:start + 16]
+    fresh = {fc: cht(RootSystem("F4", 4, F4.caps).weight(fc)) for fc in set(order)}
+    assert fresh[corner] == 194
+    for fc in order:
+        lam = F4.weight(fc)
+        lo = star(lam)
+        hi = F4.weight(F4.dominant_weight_fc(fc))
+        assert cht(lam) == fresh[fc]
+        assert dominant_interval(F4, lo, hi)[lo.fc] == fresh[fc]
+    assert len(F4._interval_steps) > 2
+
+
+def test_systems_with_different_caps_keep_their_own_steps():
+    small = RootSystem("B", 3, Caps(module_dim=100))
+    large = RootSystem("B", 3, Caps(module_dim=200))
+    weights = [(-3, 1, -2), (2, -4, 1), (-1, -1, -1)]
+    values = [cht(small.weight(fc)) for fc in weights]
+    assert small._interval_steps and not large._interval_steps
+    assert [cht(large.weight(fc)) for fc in weights] == values
+    assert large._interval_steps.keys() == small._interval_steps.keys()
+    for widths, kept in large._interval_steps.items():
+        assert kept is not small._interval_steps[widths]
+        assert kept == small._interval_steps[widths]
+
+
+def test_cht_decodes_no_interval(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cht decoded the dominant interval")
+
+    monkeypatch.setattr(lieq.height, "dominant_interval", refuse)
+    F4 = build_root_system("F4", 4)
+    assert cht(F4.weight((-4, -4, -4, -4))) == 194
+    for key in [("A", 3), ("B", 3), ("G2", 2)]:
+        system = build_root_system(*key)
+        for lam in sample_weights(system, 15, bound=3):
+            assert cht(lam) == cht_two_pass_oracle(lam)[0]
 
 
 @pytest.mark.parametrize("key", BOX_TYPES)

@@ -179,6 +179,28 @@ def test_inner_product_weyl_invariance_sampled(key):
         assert system.inner(w.apply(a), w.apply(b)) == system.inner(a, b)
 
 
+A2, B2, G2 = (build_root_system(*key) for key in [("A", 2), ("B", 2), ("G2", 2)])
+MIXED_CALLS = {
+    "inner": lambda: A2.inner(A2.rho, B2.rho),
+    "inner of two foreign weights": lambda: A2.inner(B2.rho, B2.rho),
+    "norm_sq": lambda: A2.norm_sq(B2.rho),
+    "dominance_leq": lambda: A2.dominance_leq(B2.zero_weight(), B2.rho),
+    "dominance_leq of one foreign weight": lambda: A2.dominance_leq(A2.zero_weight(), B2.rho),
+}
+
+
+@pytest.mark.parametrize("call", MIXED_CALLS.values(), ids=MIXED_CALLS.keys())
+def test_weights_of_another_system_are_refused(call):
+    with pytest.raises(ValueError, match="cannot combine objects of A2 and B2"):
+        call()
+
+
+def test_norm_of_a_g2_weight_in_a2_is_refused():
+    # read as an A2 weight, (1, 0) of G2 had norm 1/3
+    with pytest.raises(ValueError, match="cannot combine objects of A2 and G2"):
+        A2.norm_sq(G2.weight((1, 0)))
+
+
 def test_pair_examples():
     A3 = build_root_system("A", 3)
     mu = A3.weight((0, 1, 2))

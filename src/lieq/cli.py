@@ -32,10 +32,13 @@ from .verify import orbit_data, orbit_labels, verify_theorem
 
 
 def _parse_ints(args, name: str) -> list:
-    """The comma-separated integers given to the flag --name."""
+    """The comma-separated integers given to the flag --name; an empty
+    or blank value is the empty list, and an empty field is an error."""
     text = getattr(args, name)
+    if not text.strip():
+        return []
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError:
         raise ValueError(
             f"--{name} {text!r} is not a comma-separated list of integers"

@@ -31,7 +31,11 @@ The walk has two readers.  `dominant_interval` decodes every node into
 it packs star(lam) once and reads its depth from level 0, the level of
 lo.  The packed steps, guards - pack(rc + fc) for each positive root,
 depend only on the field widths, so each RootSystem keeps them per
-layout; a workload meets few layouts and many intervals.
+layout; a workload meets few layouts and many intervals.  The walk's
+input is only the pair (star(lam), lam+), so its depth is a function
+of that pair, and each RootSystem keeps the depth per pair: many
+weights share one pair (every W-conjugate with the same star does),
+and each pair is walked once.
 """
 
 from __future__ import annotations
@@ -120,12 +124,18 @@ def dominant_interval(system: RootSystem, lo: Weight, hi: Weight) -> dict:
 
 def cht(lam: Weight) -> int:
     """Longest chain of dominant weights between star(lam) and the
-    dominant conjugate of lam."""
+    dominant conjugate lam+ of lam.  The chain lives in the interval
+    [star(lam), lam+] of dominant weights, which its two ends fix, so
+    the depth is kept on the system per (star(lam), lam+) and each
+    interval is walked once."""
     system = lam.system
     lo = star(lam).fc
     hi = system.dominant_weight_fc(lam.fc)
     if lo == hi:
         return 0
+    depth = system._cht_depths.get((lo, hi))
+    if depth is not None:
+        return depth
     # star(lam) is the least dominant weight above lam and hi is dominant
     # above lam, so top is a nonnegative int vector
     top = system.lattice_coords([h - l for l, h in zip(lo, hi)])
@@ -134,6 +144,7 @@ def cht(lam: Weight) -> int:
     depth = levels[0].get(_pack((0,) * system.rank + lo, offsets))
     if depth is None:
         raise RuntimeError("dominant interval walk did not reach star(lam); bug")
+    system._cht_depths[lo, hi] = depth
     return depth
 
 

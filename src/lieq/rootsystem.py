@@ -371,6 +371,7 @@ class RootSystem:
         self._q_partitions: dict = {}       # (parabolic key, rc) -> QPolynomial
         self._multiplicity_tables: dict = {}  # mu fc -> Freudenthal table
         self._interval_steps: dict = {}     # field widths -> packed root steps
+        self._cht_depths: dict = {}         # (star fc, dominant fc) -> cht
 
     def require_same(self, *others: "RootSystem") -> None:
         """The one check that combined objects share a root system:

@@ -62,6 +62,17 @@ def test_qanalog_json(capsys):
     assert data["m"] == {"3": 1}
 
 
+@pytest.mark.parametrize("value", ["", " "])
+def test_empty_parabolic_is_the_borel_default(capsys, value):
+    argv = ["qanalog", "--type", "A", "--rank", "2", "--mu", "1,1", "--lambda", "0,0", "--json"]
+    code, default, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--parabolic", value)
+    assert code == 0
+    assert json.loads(out) == json.loads(default)
+    assert json.loads(out)["parabolic"] == []
+
+
 def test_root_coordinate_input(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -303,6 +314,10 @@ def test_parabolic_nodes_are_named_as_typed(capsys, command, arg, node):
         (["partition", "--gamma", "1,1", "--parabolic", "1.5"], "parabolic", "1.5"),
         (["partition", "--gamma", "1,,q"], "gamma", "1,,q"),
         (["orbit", "--partition", "2+1"], "partition", "2+1"),
+        (["qanalog", "--mu", "1,,1", "--lambda", "0,0"], "mu", "1,,1"),
+        (["qanalog", "--mu", "1,1", "--lambda", "0,0", "--parabolic", "1,1,"],
+         "parabolic", "1,1,"),
+        (["cht", "--weight", ",1"], "weight", ",1"),
     ],
 )
 def test_unreadable_integers_name_the_flag_and_text(capsys, argv, flag, text):

@@ -162,6 +162,66 @@ def test_systems_with_different_caps_keep_their_own_steps():
         assert kept == small._interval_steps[widths]
 
 
+@pytest.mark.parametrize(
+    "key,bound", [(("A", 3), 3), (("B", 3), 3), (("G2", 2), 3), (("F4", 4), 2)]
+)
+def test_kept_depths_match_the_two_pass_search(key, bound):
+    # a system outside the process cache starts with no kept depths; the
+    # second call of every weight reads them
+    system = RootSystem(*key, Caps())
+    box = [
+        system.weight(fc)
+        for fc in itertools.product(range(-bound, bound + 1), repeat=system.rank)
+    ]
+    first = [cht(lam) for lam in box]
+    assert system._cht_depths
+    assert [cht(lam) for lam in box] == first
+    assert first == [cht_two_pass_oracle(lam)[0] for lam in box]
+
+
+def test_systems_with_different_caps_keep_their_own_depths():
+    small = RootSystem("B", 3, Caps(module_dim=100))
+    large = RootSystem("B", 3, Caps(module_dim=200))
+    weights = [(-3, 1, -2), (2, -4, 1), (-1, -1, -1)]
+    values = [cht(small.weight(fc)) for fc in weights]
+    assert small._cht_depths and not large._cht_depths
+    assert [cht(large.weight(fc)) for fc in weights] == values
+    assert large._cht_depths is not small._cht_depths
+    assert large._cht_depths == small._cht_depths
+
+
+def test_cht_walks_each_interval_once(monkeypatch):
+    walks = []
+    walk = lieq.height._walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(lieq.height, "_walk", counted)
+    conjugates = 0
+    for key in [("A", 3), ("B", 3), ("G2", 2), ("F4", 4)]:
+        system = RootSystem(*key, Caps())
+        pairs = set()
+        for lam in sample_weights(system, 20, bound=3):
+            pair = (star(lam).fc, system.dominant_weight_fc(lam.fc))
+            before = len(walks)
+            value = cht(lam)
+            new = pair[0] != pair[1] and pair not in pairs
+            assert len(walks) == before + new
+            pairs.add(pair)
+            assert cht(lam) == value
+            assert len(walks) == before + new
+            for i in range(system.rank):
+                moved = system.simple_reflection(i).apply(lam)
+                if moved != lam and star(moved) == star(lam):
+                    conjugates += 1
+                    assert cht(moved) == value
+                    assert len(walks) == before + new
+        assert len(system._cht_depths) == sum(lo != hi for lo, hi in pairs)
+    assert conjugates > 0
+
+
 def test_cht_decodes_no_interval(monkeypatch):
     def refuse(*args):
         raise AssertionError("cht decoded the dominant interval")

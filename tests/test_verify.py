@@ -13,15 +13,18 @@ from lieq import (
     build_root_system,
     cht,
     freudenthal_multiplicity,
+    is_even_partition,
     lusztig_q_analog,
+    partitions_of,
     principal_nilpotent,
     q_partition,
     vanishing_certificate,
     verify_theorem,
 )
+from lieq.orbits import associated_parabolic
 from lieq.verify import orbit_data
 
-from oracles import all_weights
+from oracles import all_weights, dominant_weights_with_dim_bound
 
 
 def test_certificate_trivial_character():
@@ -260,3 +263,34 @@ def test_systems_that_differ_only_in_caps_still_combine():
     assert lusztig_q_analog(mu, other.zero_weight()) == QPolynomial({1: 1, 2: 1})
     report = verify_theorem(A2, mu, other.zero_weight(), "principal")
     assert report.equal and report.r == QPolynomial({1: 1, 2: 1})
+
+
+R_AT_1_ORBITS = [
+    (("A", n - 1), partition)
+    for n in (3, 4, 5)
+    for partition in partitions_of(n)
+    if is_even_partition(partition)
+] + [(key, "principal") for key in [("B", 2), ("G2", 2), ("B", 3), ("C", 3)]]
+
+
+def test_r_and_m_agree_at_q_1_uncertified_included():
+    # r(1) is the dimension of the Levi-highest space of weight lambda and
+    # m(1) the branching count of V(mu) to the Levi at lambda, so the two
+    # agree whether or not a vanishing certificate applies
+    instances = uncertified = 0
+    for key, spec in R_AT_1_ORBITS:
+        system = build_root_system(*key)
+        _, labels, rep = orbit_data(system, spec)
+        parabolic = associated_parabolic(system, labels)
+        for mu in dominant_weights_with_dim_bound(system, 60):
+            module = build_irrep(system, mu)
+            for lam_fc in dict.fromkeys(module.weights):
+                lam = system.weight(lam_fc)
+                if not parabolic.is_dominant(lam):
+                    continue
+                instances += 1
+                uncertified += not vanishing_certificate(lam, parabolic, system).certified
+                r = bk_jump_polynomial(module, rep, lam, parabolic).jump_polynomial
+                m = lusztig_q_analog(mu, lam, parabolic)
+                assert r.evaluate(1) == m.evaluate(1), (key, spec, mu.fc, lam_fc)
+    assert (instances, uncertified) == (3176, 1884)

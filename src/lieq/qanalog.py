@@ -135,7 +135,7 @@ def lusztig_q_analog(
     flips = sum(system.pair(shifted, root) < 0 for root in system.positive_roots)
     sign = -1 if flips % 2 else 1
     rank = system.rank
-    cols = system._cartan_cols
+    steps = system._simple_steps
     points: list = []
     signs: list = []
     frontier = {x: rc}
@@ -147,9 +147,13 @@ def lusztig_q_analog(
             for i in range(rank):
                 c = y[i]
                 if c > 0 and rc[i] >= c:
-                    step = tuple(a - c * b for a, b in zip(y, cols[i]))
-                    if step not in nxt:
-                        nxt[step] = rc[:i] + (rc[i] - c,) + rc[i + 1:]
+                    image = list(y)
+                    image[i] = -c
+                    for r, a in steps[i]:
+                        image[r] -= c * a
+                    image = tuple(image)
+                    if image not in nxt:
+                        nxt[image] = rc[:i] + (rc[i] - c,) + rc[i + 1:]
         frontier = nxt
         sign = -sign
     acc: dict = {}

@@ -346,8 +346,12 @@ class RootSystem:
         self.caps = caps
         self.key = (type_label, rank)
         self.cartan_matrix = tuple(tuple(row) for row in cartan)
-        self._cartan_cols = tuple(
-            tuple(self.cartan_matrix[r][i] for r in range(rank)) for i in range(rank)
+        # the simple-root steps: for each i, the pairs (r, C[r][i]) over the
+        # Dynkin neighbours r of alpha_i, the nonzero entries of column i off
+        # the diagonal; s_i and + alpha_i change fc[i] and these entries only
+        self._simple_steps = tuple(
+            tuple((r, cartan[r][i]) for r in range(rank) if r != i and cartan[r][i])
+            for i in range(rank)
         )
         self.simple_norms = tuple(norms)
         # weight arithmetic kernel: den * C^-1 maps fundamental to root
@@ -577,18 +581,29 @@ class RootSystem:
     # -- actions --------------------------------------------------------
 
     def dominant_weight_fc(self, fc) -> tuple:
-        """Fundamental coordinates of the dominant Weyl conjugate."""
+        """Fundamental coordinates of the dominant Weyl conjugate.
+
+        While some coordinate c = fc[i] is negative, reflect by s_i in
+        place: s_i(lam) = lam - c alpha_i sets fc[i] to -c and takes
+        c * C[r][i] from each neighbour r, read from the sparse steps.
+        Each reflection adds -c > 0 copies of alpha_i, so the weight
+        climbs in dominance order inside its finite orbit and the loop
+        ends, at the orbit's one dominant point (Humphreys, section
+        13.2), whatever order the reflections are taken in."""
         fc = list(fc)
+        steps = self._simple_steps
         n = self.rank
-        while True:
-            for i in range(n):
-                if fc[i] < 0:
-                    c = fc[i]
-                    col = self._cartan_cols[i]
-                    fc = [x - c * col[r] for r, x in enumerate(fc)]
-                    break
+        i = 0
+        while i < n:
+            c = fc[i]
+            if c < 0:
+                fc[i] = -c
+                for r, a in steps[i]:
+                    fc[r] -= c * a
+                i = 0
             else:
-                return tuple(fc)
+                i += 1
+        return tuple(fc)
 
     def shifted_action(self, w: WeylElement, weight: Weight) -> Weight:
         """Affine action w(weight + rho) - rho."""

@@ -6,11 +6,13 @@ partition counts from exhaustive multiset enumeration, type-A Borel
 q-analogs from the charge of semistandard tableaux, star/cht from
 box enumeration over the full weight interval with a comparability DP,
 simple-root coordinates from a Fraction inverse of the Cartan matrix,
-q-analogs from the plain sum over every Weyl group element, Weyl
-orbits from a walk by simple reflections, and Jordan types from the
-ranks of matrix powers.  cht also has the earlier two-pass search
-(breadth-first interval, then a longest-chain DP) as an oracle for the
-one-pass walk.  An algebra element's action is also built the
+q-analogs from the plain sum over every Weyl group element, Levi
+q-analogs from a walk over the Levi's Weyl group and a recursion over
+its roots, Weyl orbits from a walk by simple reflections, dominant
+conjugates from the images under every Weyl group element, and Jordan
+types from the ranks of matrix powers.  cht also has the earlier
+two-pass search (breadth-first interval, then a longest-chain DP) as an
+oracle for the one-pass walk.  An algebra element's action is also built the
 whole-module way: one sparse matrix per element, summed from the
 operators of its basis terms, which the kernel filtration then
 applies; ad-nilpotency comes from powers of the dense matrix of ad(x).
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from lieq.height import star
@@ -243,10 +246,45 @@ def interval_weights_box(system, lo, hi):
     return out
 
 
-def star_oracle(system, lam):
-    """Minimum of the dominant weights in [lam, lam+] under dominance;
-    checks the minimum is comparable to every candidate."""
-    hi = system.weight(system.dominant_weight_fc(lam.fc))
+def weyl_dominant_conjugates(system, fcs) -> dict:
+    """{fc: the dominant point of its orbit} for each fc of fcs, with the
+    orbit taken as the images of fc under every element of the enumerated
+    `RootSystem.weyl_group`; checks that the orbit has exactly one
+    dominant point.  Every point of an orbit computed is recorded, so
+    the points of fcs that share an orbit share its images."""
+    matrices = [w.matrix for w in system.weyl_group()]
+    found = {}
+    for fc in map(tuple, fcs):
+        if fc in found:
+            continue
+        orbit = {tuple(sum(map(operator.mul, row, fc)) for row in m) for m in matrices}
+        dominant = [p for p in orbit if min(p) >= 0]
+        assert len(dominant) == 1, (fc, dominant)
+        found.update(dict.fromkeys(orbit, dominant[0]))
+    return {tuple(fc): found[tuple(fc)] for fc in fcs}
+
+
+def weyl_dominant_weight(lam):
+    """The dominant Weyl conjugate of lam, from `weyl_dominant_conjugates`."""
+    return lam.system.weight(weyl_dominant_conjugates(lam.system, [lam.fc])[lam.fc])
+
+
+def interval_box_size(system, lo, hi) -> int:
+    """The number of points `interval_weights_box` enumerates."""
+    diff = (hi - lo).root_coords()
+    if any(x.denominator != 1 or x < 0 for x in diff):
+        return 0
+    return math.prod(int(x) + 1 for x in diff)
+
+
+def star_oracle(system, lam, max_box=None):
+    """Minimum of the dominant weights in [lam, lam+] under dominance,
+    with lam+ from the Weyl group; checks the minimum is comparable to
+    every candidate.  None when the box of the interval holds more than
+    max_box points."""
+    hi = weyl_dominant_weight(lam)
+    if max_box is not None and interval_box_size(system, lam, hi) > max_box:
+        return None
     dominants = [w for w in interval_weights_box(system, lam, hi) if w.is_dominant()]
     best = None
     for w in dominants:
@@ -262,7 +300,7 @@ def cht_oracle(system, lam):
     """Longest chain of dominant weights from star to the dominant
     conjugate, via the full comparability DP on the box interval."""
     lo = star_oracle(system, lam)
-    hi = system.weight(system.dominant_weight_fc(lam.fc))
+    hi = weyl_dominant_weight(lam)
     dominants = [w for w in interval_weights_box(system, lo, hi) if w.is_dominant()]
     dominants.sort(key=lambda w: system.height_of(w - lo))
     longest = {}
@@ -319,7 +357,7 @@ def weyl_orbit(system, weight):
     stepping by s_i(lam) = lam - lam_i alpha_i, one Cartan column."""
     seen = {weight.fc}
     frontier = [weight.fc]
-    cols = system._cartan_cols
+    cols = list(zip(*system.cartan_matrix))
     while frontier:
         nxt = []
         for fc in frontier:
@@ -333,6 +371,61 @@ def weyl_orbit(system, weight):
                     nxt.append(img)
         frontier = nxt
     return seen
+
+
+def levi_q_analog_oracle(nu, lam, levi) -> QPolynomial:
+    """m_L^lam_nu(q), Lusztig's q-analog of the Levi L whose simple roots
+    have the 0-based indices levi: the sum over u in W_L of sign(u) times
+    the graded count of ways to write u(nu + rho) - (lam + rho) as a sum
+    of positive roots of L.  nu must be L-dominant, so nu + rho is
+    L-regular and W_L acts freely on its orbit: the walk from nu + rho
+    by the reflections s_i, i in levi, meets each u once, its sign the
+    parity of the steps that reach it.  The graded count is a recursion
+    over the Levi's positive roots one at a time, in root coordinates:
+    a root is used no more, or once more."""
+    system = nu.system
+    cols = list(zip(*system.cartan_matrix))
+    roots = [
+        r.rc for r in system.positive_roots if all(c == 0 or i in levi for i, c in enumerate(r.rc))
+    ]
+    memo: dict = {}
+
+    def count(rc, j):
+        if not any(rc):
+            return {0: 1}
+        if j == len(roots):
+            return {}
+        if (rc, j) not in memo:
+            out = dict(count(rc, j + 1))
+            rest = tuple(a - b for a, b in zip(rc, roots[j]))
+            if min(rest) >= 0:
+                for deg, c in count(rest, j).items():
+                    out[deg + 1] = out.get(deg + 1, 0) + c
+            memo[rc, j] = out
+        return memo[rc, j]
+
+    # each point y = u(nu + rho) with the root coordinates of
+    # y - (lam + rho) and sign(u); s_i lowers coordinate i by y_i
+    start = tuple(a + 1 for a in nu.fc)
+    diff = fraction_root_coords(system, [a - b for a, b in zip(nu.fc, lam.fc)])
+    points = {start: (tuple(int(x) for x in diff), 1)}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            rc, sign = points[y]
+            for i in levi:
+                image = tuple(a - y[i] * b for a, b in zip(y, cols[i]))
+                if image not in points:
+                    points[image] = (rc[:i] + (rc[i] - y[i],) + rc[i + 1:], -sign)
+                    nxt.append(image)
+        frontier = nxt
+    acc: dict = {}
+    for rc, sign in points.values():
+        if min(rc) >= 0:
+            for deg, c in count(rc, 0).items():
+                acc[deg] = acc.get(deg, 0) + sign * c
+    return QPolynomial(acc)
 
 
 def total_dimension_check(mu):

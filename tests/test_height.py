@@ -7,7 +7,7 @@ import lieq.height
 from lieq import Caps, RootSystem, build_root_system, cht, cht_is_zero_fast, star
 from lieq.height import dominant_interval
 
-from oracles import cht_oracle, cht_two_pass_oracle, star_oracle
+from oracles import cht_oracle, cht_two_pass_oracle, star_oracle, weyl_dominant_weight
 
 BOX_TYPES = [("A", 3), ("B", 3), ("C", 3), ("G2", 2), ("F4", 4)]
 
@@ -35,11 +35,41 @@ def test_star_reference_values():
     assert star(-theta) == A2.zero_weight()
 
 
-@pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G2", 2)])
+# star_oracle enumerates the box [lam, lam+] in simple roots, which grows
+# fast with the rank: past rank 2 the weights are every point of
+# [-1, 1]^rank whose box holds at most 5,000 points, and the count of
+# weights checked is pinned (F4 has 22 larger boxes, up to 521,203 points)
+STAR_ORACLE_WEIGHTS = {("B", 3): 27, ("C", 3): 27, ("D", 4): 81, ("F4", 4): 59}
+
+
+@pytest.mark.parametrize(
+    "key", [("A", 2), ("B", 2), ("G2", 2), ("B", 3), ("C", 3), ("D", 4), ("F4", 4)]
+)
 def test_star_matches_bruteforce_minimum(key):
     system = build_root_system(*key)
-    for lam in sample_weights(system, 25, bound=3):
-        assert star(lam) == star_oracle(system, lam)
+    if system.rank == 2:
+        for lam in sample_weights(system, 25, bound=3):
+            assert star(lam) == star_oracle(system, lam)
+        return
+    checked = 0
+    for fc in itertools.product(range(-1, 2), repeat=system.rank):
+        lam = system.weight(fc)
+        expected = star_oracle(system, lam, max_box=5000)
+        if expected is not None:
+            assert star(lam) == expected
+            checked += 1
+    assert checked == STAR_ORACLE_WEIGHTS[key]
+
+
+def test_star_takes_long_steps_at_once():
+    # one-root steps would take 10^5 additions here
+    G2 = build_root_system("G2", 2)
+    assert star(G2.weight((10**5, -(10**5)))) == G2.zero_weight()
+    F4 = build_root_system("F4", 4)
+    lam = F4.weight((-40, 3, -7, 2))
+    assert star(lam) == F4.zero_weight()
+    assert F4.dominant_weight_fc(lam.fc) == (37, 3, 2, 2)
+    assert weyl_dominant_weight(lam).fc == (37, 3, 2, 2)
 
 
 def test_star_below_every_dominant_weight_above():

@@ -5,7 +5,9 @@ with fractional coefficients against the whole-module oracle.
 Property tests over small boxes of root coordinates: every cell of a
 partition table against multiset enumeration, and the same
 q_partition whether a q-analog's shared table or a single call filled
-the cache.
+the cache.  Levi transitivity over every Levi of six systems, F4 among
+them: the Borel q-analog is the parabolic one convolved with the
+Levi's own, from the independent oracle of `levi_q_analog_oracle`.
 Property tests over weights in a small box: the rules
 that the dominant conjugate, star and the combinatorial height cht obey
 along roots and under simple reflections, the norm bound on cht, and
@@ -17,9 +19,11 @@ example database is kept, so every run checks the same cases."""
 import itertools
 import math
 import operator
+import random
 import tempfile
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -46,6 +50,7 @@ from oracles import (
     filtration_oracle,
     fraction_gauss_jordan,
     fraction_rank,
+    levi_q_analog_oracle,
     partition_poly_oracle,
 )
 
@@ -136,6 +141,52 @@ def test_q_partition_is_the_same_from_a_shared_table_or_alone(box, mu_fc):
     for (_, rc), value in shared._q_partitions.items():
         alone._q_partitions.clear()
         assert q_partition(alone.weight(rc, "root"), alone.parabolic(levi)) == value
+
+
+LEVI_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4)]
+LEVI_DRAWS = 8
+# the nonzero terms m_P * m_L summed over all draws, pinned so that the
+# Levi side is seen to be exercised
+LEVI_TERMS = {
+    ("A", 3): 116, ("B", 3): 119, ("C", 3): 102, ("D", 4): 333, ("G2", 2): 44, ("F4", 4): 278,
+}
+
+
+@pytest.mark.parametrize("key", LEVI_SYSTEMS)
+def test_borel_q_analog_is_the_parabolic_one_times_the_levi_one(key):
+    # m_B^lam_mu = sum over L-dominant nu with nu - lam in the Levi root
+    # cone of m_P^nu_mu * m_L^lam_nu: the Borel partition function is the
+    # convolution of those of n_P and of the Levi roots, and m_P is
+    # alternating under W_L's shifted action.  Seeded draws, LEVI_DRAWS
+    # per Levi: mu dominant with entries <= 2, lam = mu minus a sum of simple
+    # roots with coefficients <= 3.
+    system = build_root_system(*key)
+    rank = system.rank
+    rng = random.Random(f"levi:{system.name}")
+    terms = 0
+    for size in range(rank + 1):
+        for levi in itertools.combinations(range(rank), size):
+            parabolic = system.parabolic(levi)
+            for _ in range(LEVI_DRAWS):
+                mu = system.weight([rng.randint(0, 2) for _ in range(rank)])
+                top = [rng.randint(0, 3) for _ in range(rank)]
+                lam = mu - system.weight(top, "root")
+                total: dict = {}
+                ranges = (range(t + 1) if i in levi else (0,) for i, t in enumerate(top))
+                for c in itertools.product(*ranges):
+                    nu = lam + system.weight(c, "root")
+                    if any(nu.fc[i] < 0 for i in levi):
+                        continue
+                    outer = lusztig_q_analog(mu, nu, parabolic)
+                    if not outer:
+                        continue
+                    inner = levi_q_analog_oracle(nu, lam, levi)
+                    terms += 1
+                    for d, a in outer.coeffs.items():
+                        for e, b in inner.coeffs.items():
+                            total[d + e] = total.get(d + e, 0) + a * b
+                assert QPolynomial(total) == lusztig_q_analog(mu, lam)
+    assert terms == LEVI_TERMS[key]
 
 
 # many module maps have non-integral entries (in A2, A3, B2 and C3 among

@@ -14,7 +14,10 @@ from lieq import (
 )
 from lieq.rootsystem import _DIAGRAMS, weyl_group_order
 
-from oracles import fraction_cartan_inverse, fraction_inner, fraction_root_coords, weyl_orbit
+from oracles import (
+    fraction_cartan_inverse, fraction_inner, fraction_root_coords, weyl_dominant_conjugates,
+    weyl_orbit,
+)
 
 POSITIVE_ROOT_COUNTS = {
     ("A", 1): 1,
@@ -244,6 +247,18 @@ def test_dominant_representative_orbit_invariance():
         plus = system.dominant_weight_fc(lam.fc)
         for fc in weyl_orbit(system, lam):
             assert system.dominant_weight_fc(fc) == plus
+
+
+@pytest.mark.parametrize(
+    "key, bound",
+    [(("A", 3), 3), (("B", 3), 3), (("C", 3), 3), (("D", 4), 3), (("G2", 2), 3), (("F4", 4), 2)],
+)
+def test_dominant_weight_fc_is_the_dominant_point_of_the_weyl_orbit(key, bound):
+    system = build_root_system(*key)
+    box = list(itertools.product(range(-bound, bound + 1), repeat=system.rank))
+    expected = weyl_dominant_conjugates(system, box)
+    for fc in box:
+        assert system.dominant_weight_fc(fc) == expected[fc]
 
 
 def test_neg_theta_orbit_contains_all_roots():

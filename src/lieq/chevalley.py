@@ -14,6 +14,7 @@ Jacobi identity is checked by the test suite, not at construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import add_scaled, rank_of_sparse
 from .rootsystem import Root, RootSystem
@@ -24,10 +25,10 @@ class AlgebraElement:
 
     An element is a value: arithmetic returns new elements and its
     `coeffs` are never changed after construction, so what is derived
-    from them, the columns of ad(x) and `is_nilpotent()`, is built once
-    and kept on the element."""
+    from them, the columns of ad(x), `is_nilpotent()` and the coprime
+    int coefficients, is built once and kept on the element."""
 
-    __slots__ = ("algebra", "coeffs", "_ad_cols", "_nilpotent")
+    __slots__ = ("algebra", "coeffs", "_ad_cols", "_nilpotent", "_int_coeffs")
 
     def __init__(self, algebra: "ChevalleyAlgebra", coeffs=None):
         self.algebra = algebra
@@ -40,6 +41,7 @@ class AlgebraElement:
         self.coeffs = clean
         self._ad_cols = None
         self._nilpotent = None
+        self._int_coeffs = None
 
     def __add__(self, other):
         self._check(other)
@@ -68,6 +70,18 @@ class AlgebraElement:
         if self._ad_cols is None:
             self._ad_cols = self.algebra.ad_columns(self)
         return self._ad_cols
+
+    def int_coeffs(self) -> dict:
+        """{basis index: int}: the coefficients scaled by one positive
+        factor to coprime ints, built on the first call and kept;
+        callers must not change them."""
+        if self._int_coeffs is None:
+            coeffs = self.coeffs
+            den = lcm(*(c.denominator for c in coeffs.values()))
+            nums = {b: c.numerator * (den // c.denominator) for b, c in coeffs.items()}
+            g = gcd(*nums.values())
+            self._int_coeffs = {b: n // g for b, n in nums.items()}
+        return self._int_coeffs
 
     def is_nilpotent(self) -> bool:
         """Whether ad(self) is nilpotent, by applying ad(self) to every

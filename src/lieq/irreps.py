@@ -27,13 +27,16 @@ basis terms, each an operator that the module builds once from its
 generator matrices and keeps (a non-simple root vector as a commutator
 of two such column maps); x itself is never built as a matrix on the
 whole module.  The filtration vectors are ints: x's coefficients are
-scaled once to coprime ints, and each image is scaled by the lcm of
+scaled to coprime ints once per element and kept on it
+(`AlgebraElement.int_coeffs`), and each image is scaled by the lcm of
 the denominators of the column entries it reads, which it reads by
 numerator and denominator, so the filtration makes no `Fraction`.  The
 exact action `apply_element` stays, for the tests to compare against.
-The Levi-highest kernel and the ranks of the powers go through
-`linalg.eliminate`, as the construction does.  Whether x is nilpotent
-is decided once per element (`AlgebraElement.is_nilpotent`).
+The Levi-highest kernel and the rank of a power of two or more vectors
+go through `linalg.eliminate`, as the construction does; a power that
+is one line needs no reduction: its image, divided by its gcd, is the
+next power.  Whether x is nilpotent is decided once per element
+(`AlgebraElement.is_nilpotent`).
 """
 
 from __future__ import annotations
@@ -215,12 +218,16 @@ def bk_jump_polynomial(
     """Filtration of the Levi-highest subspace at weight lam by kernels
     of successive powers of x; the jump polynomial records dimension
     increments.  Raises if x is not nilpotent, which x decides once
-    and keeps.  Each power keeps an echelon basis of x^k applied to the
-    space, so x is applied to rank-many vectors and the rank is the
-    basis's size; x is never built as a matrix on the whole module.
-    All of it runs in ints: each primitive int vector v goes to a
-    positive int multiple of x.v (`_scaled_image`), which spans the same
-    line, so the ranks are those of the exact action."""
+    and keeps.  Each power keeps a basis of x^k applied to the space,
+    so x is applied to rank-many vectors and the rank is the basis's
+    size; x is never built as a matrix on the whole module.  Two or
+    more vectors are reduced to an echelon basis (`sparse_echelon`); a
+    single vector's image is made primitive by its positive gcd, sign
+    kept, which is the row `sparse_echelon` would keep, and a zero image
+    ends the filtration.  All of it runs in ints: each primitive int
+    vector v goes to a positive int multiple of x.v (`_scaled_image`),
+    which spans the same line, so the ranks are those of the exact
+    action."""
     module.system.require_same(x.algebra.system, lam.system, parabolic.system)
     if not x.is_nilpotent():
         raise ValueError("element is not nilpotent on the module")
@@ -233,11 +240,23 @@ def bk_jump_polynomial(
     current = space
     steps = 0
     while True:
-        basis = sparse_echelon(_scaled_image(terms, v) for v in current)
-        dims.append(total - len(basis))
-        if not basis:
+        if len(current) == 1:
+            # one line: its image, made primitive as sparse_echelon
+            # makes a single row, is the next power's whole basis
+            image = _scaled_image(terms, current[0])
+            if image:
+                g = gcd(*image.values())
+                if g > 1:
+                    image = {k: v // g for k, v in image.items()}
+                current = [image]
+            else:
+                current = []
+        else:
+            basis = sparse_echelon(_scaled_image(terms, v) for v in current)
+            current = [row for row, _ in basis.values()]
+        dims.append(total - len(current))
+        if not current:
             break
-        current = [row for row, _ in basis.values()]
         steps += 1
         if steps > module.dim + 1:
             raise ValueError("element is not nilpotent on the module")
@@ -251,13 +270,9 @@ def bk_jump_polynomial(
 
 
 def _scaled_terms(module: ExplicitModule, x: AlgebraElement) -> list:
-    """(operator, w) over x's basis terms, the coefficients w scaled to
-    coprime ints by one positive factor."""
-    coeffs = x.coeffs
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    nums = {b: c.numerator * (den // c.denominator) for b, c in coeffs.items()}
-    g = gcd(*nums.values())
-    return [(module._basis_operator(b), n // g) for b, n in nums.items()]
+    """(operator, w) over x's basis terms, w the coprime int coefficient
+    that x keeps (`AlgebraElement.int_coeffs`)."""
+    return [(module._basis_operator(b), w) for b, w in x.int_coeffs().items()]
 
 
 def _scaled_image(terms, vec: dict) -> dict:

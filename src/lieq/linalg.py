@@ -7,7 +7,8 @@ back as (key, value) pairs.  `add_scaled` takes such pairs, a dict's
 items or a flat column's entries, so it is the one sparse update
 (out += c * vec, zeros dropped) for both.  `eliminate` is the one row
 reduction, which module construction, ranks, kernels and the
-filtration share.  It is fraction-free (Bareiss, Math. Comp. 22, 1968)
+filtration's powers of two or more vectors share (a power that is one
+line needs none).  It is fraction-free (Bareiss, Math. Comp. 22, 1968)
 on int rows, with pivots at the least key: `sparse_echelon` takes int
 rows as they are, as the filtration makes them, while `rank_of_sparse`
 and `sparse_nullspace` rescale rational rows to int ones, which have

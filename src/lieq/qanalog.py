@@ -223,12 +223,12 @@ def _multiplicity_table(system: RootSystem, mu_fc) -> dict:
 
 def freudenthal_multiplicity(mu: Weight, lam: Weight) -> int:
     """dim of the lam weight space in the irreducible module V(mu),
-    by Freudenthal's recursion."""
+    by Freudenthal's recursion.  The table's weights all lie in mu + Q,
+    and lam's dominant conjugate lies in lam + Q, so a lam off mu's
+    coset of the root lattice Q reads 0."""
     system = mu.system
     system.require_same(lam.system)
     _require_dominant(mu)
-    if not (mu - lam).in_root_lattice():
-        return 0
     table = _multiplicity_table(system, mu.fc)
     return table.get(system.dominant_weight_fc(lam.fc), 0)
 

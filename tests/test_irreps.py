@@ -1,11 +1,13 @@
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import lieq.irreps
 from lieq import (
     CapExceeded,
     Caps,
@@ -23,6 +25,7 @@ from lieq import (
     weyl_dimension,
 )
 from lieq.chevalley import AlgebraElement
+from lieq.linalg import sparse_echelon
 from lieq.orbits import BUILTIN_ORBITS, associated_parabolic, partition_labels
 from lieq.qpoly import QPolynomial
 from lieq.rootsystem import RootSystem
@@ -531,3 +534,155 @@ def test_good_position_filtration_matches_whole_module_matrix(key, orbit, bound)
     parabolic = associated_parabolic(system, labels)
     for mu in dominant_weights_with_dim_bound(system, bound):
         assert_filtration_matches_oracle(build_irrep(system, mu), x, parabolic)
+
+
+def counted_echelons(monkeypatch) -> list:
+    """Replace the filtration's `sparse_echelon` by a wrapper that
+    records the number of rows of each call."""
+    calls = []
+    echelon = lieq.irreps.sparse_echelon
+
+    def counted(rows):
+        rows = list(rows)
+        calls.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(lieq.irreps, "sparse_echelon", counted)
+    return calls
+
+
+def recorded_images(monkeypatch) -> list:
+    """Replace the filtration's `_scaled_image` by a wrapper that
+    records each (vector, image) pair."""
+    steps = []
+    scaled_image = lieq.irreps._scaled_image
+
+    def recorded(terms, vec):
+        image = scaled_image(terms, vec)
+        steps.append((dict(vec), dict(image)))
+        return image
+
+    monkeypatch.setattr(lieq.irreps, "_scaled_image", recorded)
+    return steps
+
+
+def assert_line_steps_keep_echelon_rows(steps):
+    """Each power of a one-line chain is the one row that sparse_echelon
+    keeps of the power before's image: primitive, its sign kept."""
+    for (_, image), (vec, _) in zip(steps, steps[1:]):
+        ((row, _),) = sparse_echelon([dict(image)]).values()
+        assert vec == row
+
+
+def test_long_one_line_chain_builds_no_echelon(monkeypatch):
+    # weight 0 of V(58) is one line that e carries up and f carries down
+    # 29 weights; f's images are large ints (870, 868, ...) until the
+    # line step divides them by their gcd, as sparse_echelon would
+    system, module = module_of("A", 1, (58,))
+    algebra = build_chevalley(system)
+    root = system.positive_roots[0]
+    lam, borel = system.zero_weight(), system.borel()
+    steps = recorded_images(monkeypatch)
+    calls = counted_echelons(monkeypatch)
+    for x in (algebra.x(root), algebra.x(root, -1)):
+        steps.clear()
+        report = bk_jump_polynomial(module, x, lam, borel)
+        assert calls == []
+        assert report.subspace_dims == [0] * 29 + [1]
+        assert report.jump_polynomial == QPolynomial({29: 1})
+        assert (report.subspace_dims, report.jump_polynomial) == filtration_oracle(
+            module, x, lam, borel
+        )
+        assert len(steps) == 30 and not steps[-1][1]
+        assert_line_steps_keep_echelon_rows(steps)
+    assert max(image[min(image)] for _, image in steps[:-1]) == 870
+
+
+def test_line_killed_by_the_first_power(monkeypatch):
+    system, module = module_of("A", 2, (1, 1))
+    e = principal_nilpotent(build_chevalley(system))
+    mu, borel = module.highest_weight, system.borel()
+    calls = counted_echelons(monkeypatch)
+    report = bk_jump_polynomial(module, e, mu, borel)
+    assert calls == []
+    assert report.subspace_dims == [1]
+    assert (report.subspace_dims, report.jump_polynomial) == filtration_oracle(
+        module, e, mu, borel
+    )
+
+
+def test_weight_space_that_narrows_to_a_line(monkeypatch):
+    # the zero weight of the adjoint module of A3 has dimension 3; three
+    # powers reduce an echelon basis, then the space is one line
+    system, module = module_of("A", 3, (1, 0, 1))
+    e = principal_nilpotent(build_chevalley(system))
+    lam, borel = system.zero_weight(), system.borel()
+    calls = counted_echelons(monkeypatch)
+    report = bk_jump_polynomial(module, e, lam, borel)
+    assert calls == [3, 3, 2]
+    assert report.subspace_dims == [0, 1, 2, 3]
+    assert (report.subspace_dims, report.jump_polynomial) == filtration_oracle(
+        module, e, lam, borel
+    )
+
+
+def test_line_from_a_levi_highest_nullspace(monkeypatch):
+    # the Levi-highest space of V(1,2,0) at (1,-2,0) for the parabolic of
+    # A3 [2,2] is one kernel vector with two entries, not a unit vector;
+    # some of its images lead with a negative entry
+    system, module = module_of("A", 3, (1, 2, 0))
+    labels = partition_labels(system, Partition((2, 2)))
+    x = good_position_representative(build_chevalley(system), labels)
+    parabolic = associated_parabolic(system, labels)
+    lam = system.weight((1, -2, 0))
+    (line,) = module.l_highest_space(lam, parabolic)
+    assert len(line) == 2
+    steps = recorded_images(monkeypatch)
+    calls = counted_echelons(monkeypatch)
+    report = bk_jump_polynomial(module, x, lam, parabolic)
+    assert calls == []
+    assert_line_steps_keep_echelon_rows(steps)
+    assert any(image[min(image)] < 0 for _, image in steps[:-1])
+    assert report.subspace_dims == [0, 0, 0, 0, 1]
+    assert (report.subspace_dims, report.jump_polynomial) == filtration_oracle(
+        module, x, lam, parabolic
+    )
+
+
+def test_element_keeps_its_int_coefficients_across_modules():
+    system = build_root_system("B", 2)
+    algebra = build_chevalley(system)
+    first, second = system.positive_roots[:2]
+    x = Fraction(2, 3) * algebra.x(first) - Fraction(4, 9) * algebra.x(second)
+    kept = x.int_coeffs()
+    for fc in [(1, 0), (0, 2)]:
+        module = build_irrep(system, system.weight(fc))
+        assert_filtration_matches_oracle(module, x, system.borel())
+        assert x.int_coeffs() is kept
+        terms = lieq.irreps._scaled_terms(module, x)
+        assert [w for _, w in terms] == list(kept.values())
+    # a fresh scaling of coeffs: 2/3 and -4/9 times 9, over their gcd 2
+    den = math.lcm(*(c.denominator for c in x.coeffs.values()))
+    nums = {b: int(c * den) for b, c in x.coeffs.items()}
+    g = math.gcd(*nums.values())
+    assert kept == {b: n // g for b, n in nums.items()}
+    assert sorted(kept.values()) == [-2, 3]
+
+
+def test_only_powers_of_two_or_more_vectors_build_an_echelon(monkeypatch):
+    # a fixed small principal sweep: every dominant weight of every
+    # module of dimension <= 30 of four systems; a power that is one
+    # line must not reach sparse_echelon (248 of the 306 powers here
+    # are one line)
+    calls = counted_echelons(monkeypatch)
+    instances = 0
+    for key in [("A", 2), ("A", 3), ("B", 2), ("G2", 2)]:
+        system = build_root_system(*key)
+        e = principal_nilpotent(build_chevalley(system))
+        for mu in dominant_weights_with_dim_bound(system, 30):
+            module = build_irrep(system, mu)
+            for fc in sorted(dominant_multiplicities(mu)):
+                bk_jump_polynomial(module, e, system.weight(fc), system.borel())
+                instances += 1
+    assert min(calls) >= 2
+    assert (instances, len(calls)) == (121, 58)

@@ -151,6 +151,16 @@ def test_freudenthal_reference_values():
     assert freudenthal_multiplicity(theta, A2.fundamental_weight(0)) == 0
 
 
+def test_freudenthal_is_zero_off_the_coset_of_the_root_lattice():
+    # the table holds only weights of mu + Q; an off-coset lam's dominant
+    # conjugate is not among them
+    A3 = build_root_system("A", 3)
+    assert freudenthal_multiplicity(A3.weight((1, 0, 0)), A3.zero_weight()) == 0
+    B2 = build_root_system("B", 2)
+    assert freudenthal_multiplicity(B2.weight((0, 1)), B2.zero_weight()) == 0
+    assert freudenthal_multiplicity(B2.weight((0, 1)), B2.weight((0, -1))) == 1
+
+
 def test_weyl_dimension_reference_values():
     A3 = build_root_system("A", 3)
     assert weyl_dimension(A3.zero_weight()) == 1

@@ -13,14 +13,21 @@ walking by strides only the cells above it; q_partition is the
 one-point case of the same lookup.  Freudenthal's recursion takes the
 dominant weights below the highest weight from `height.dominant_interval`,
 in order of chain depth; that walk belongs to neither side of the
-identity, so the q-analog side still builds no module.
+identity, so the q-analog side still builds no module.  Its inner sums
+run up root strings, and each string is summed once: with S = 2 den (,)
+and h = den |beta|^2,
+sum_{k >= 1} m(delta + k beta) S(delta + k beta, beta) = h T(delta + beta)
+for T(nu) = m(nu) <nu, beta^vee> + T(nu + beta).  The table keeps T per
+root and each weight's multiplicity, read once through its dominant
+conjugate, so its work grows with the length of its strings, not with
+the square of it.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from operator import mul
+from operator import add, mul
 
 from .height import dominant_interval
 from .qpoly import QPolynomial
@@ -180,38 +187,69 @@ def weyl_dimension(mu: Weight) -> int:
 
 def _multiplicity_table(system: RootSystem, mu_fc) -> dict:
     """Freudenthal's recursion in integers: with S = 2 * den * (,),
-    m(delta) = 2 * sum m(nu) S(nu, beta) / (S(mu+rho) - S(delta+rho)).
+    m(delta) = 2 * sum m(nu) S(nu, beta) / (S(mu+rho) - S(delta+rho)),
+    nu = delta + k beta over k >= 1 and the positive roots beta.
 
     The dominant weights <= mu are the dominant interval from w0 mu =
     -(-mu)^+ up to mu, taken by longest-chain depth below mu.  Every
     dominant weight above delta lies on a chain down to delta, so its
-    depth is smaller and its multiplicity is in the table first."""
+    depth is smaller and its multiplicity is in the table first.
+
+    Each root string is summed once.  S(nu, beta) = h <nu, beta^vee>
+    with h = den |beta|^2, so the inner sum for delta is h T(delta + beta)
+    for the string sum T(nu) = m(nu) <nu, beta^vee> + T(nu + beta), kept
+    per root and cut where |nu|^2 passes |mu|^2, past which no weight
+    lies.  (delta, beta) >= 0, so (nu, beta) > 0 at every nu = delta +
+    k beta, k >= 1: the norm only grows up the rest of the string, and
+    where T(nu) stops depends on nu alone, whichever delta reaches it
+    first.  A nu's multiplicity is read once, through its dominant
+    conjugate, and kept.  Both memos are exact when first written: nu's
+    dominant conjugate lies at or above nu, strictly above delta, so it
+    has a smaller depth and its entry is already final."""
     table = system._multiplicity_tables.get(mu_fc)
     if table is not None:
         return table
     form = system.inner_scaled
+    dominant = system.dominant_weight_fc
     rho = system.rho.fc
     mu_norm = form(mu_fc, mu_fc)
     mu_rho = tuple(a + b for a, b in zip(mu_fc, rho))
     shifted_mu_norm = form(mu_rho, mu_rho)
-    betas = [(r.fc, form(r.fc, r.fc)) for r in system.positive_roots]
-    lowest = [-a for a in system.dominant_weight_fc([-a for a in mu_fc])]
+    # (beta, beta^vee, h, {nu: T(nu)}) per positive root
+    strings = [(r.fc, r.coroot_fc, system.den * r.norm_sq, {}) for r in system.positive_roots]
+    lowest = [-a for a in dominant([-a for a in mu_fc])]
     depths = dominant_interval(system, Weight(system, lowest), Weight(system, mu_fc))
     table: dict = {mu_fc: 1}
+    mult: dict = {}  # nu -> m(nu), read through nu's dominant conjugate
     # mu alone has depth 0
     for delta in sorted(depths, key=depths.get)[1:]:
         delta_norm = form(delta, delta)
         total = 0
-        for beta, beta_norm in betas:
-            cross = form(delta, beta)
-            k = 1
-            # |delta + k beta|^2 = |delta|^2 + 2k (delta, beta) + k^2 |beta|^2
-            while delta_norm + k * (2 * cross + k * beta_norm) <= mu_norm:
-                nu = tuple(a + k * b for a, b in zip(delta, beta))
-                m = table.get(system.dominant_weight_fc(nu), 0)
-                if m:
-                    total += m * (cross + k * beta_norm)
-                k += 1
+        for beta, coroot, h, sums in strings:
+            # walk up from delta + beta to the first nu already summed or
+            # past the cut; p = <nu + beta, beta^vee> and norm = |nu + beta|^2
+            # in units of S, and |nu + 2 beta|^2 = |nu + beta|^2 + 2h (p + 1)
+            p = sum(map(mul, coroot, delta)) + 2
+            norm = delta_norm + 2 * h * (p - 1)
+            nu = delta
+            path = []
+            t = 0
+            while norm <= mu_norm:
+                nu = tuple(map(add, nu, beta))
+                known = sums.get(nu)
+                if known is not None:
+                    t = known
+                    break
+                path.append((nu, p))
+                norm += 2 * h * (p + 1)
+                p += 2
+            for nu, p in reversed(path):
+                m = mult.get(nu)
+                if m is None:
+                    m = mult[nu] = table.get(dominant(nu), 0)
+                t += m * p
+                sums[nu] = t
+            total += h * t
         delta_rho = tuple(a + b for a, b in zip(delta, rho))
         value, rem = divmod(2 * total, shifted_mu_norm - form(delta_rho, delta_rho))
         if rem:
@@ -234,7 +272,9 @@ def freudenthal_multiplicity(mu: Weight, lam: Weight) -> int:
 
 
 def dominant_multiplicities(mu: Weight) -> dict:
-    """{dominant weight fc: multiplicity} for all weights of V(mu)."""
+    """{dominant weight fc: multiplicity} for all weights of V(mu), in
+    the table's order: mu first, then by chain depth below mu."""
     system = mu.system
+    _require_dominant(mu)
     table = _multiplicity_table(system, mu.fc)
     return {fc: m for fc, m in table.items() if m}

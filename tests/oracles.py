@@ -6,14 +6,15 @@ partition counts from exhaustive multiset enumeration, type-A Borel
 q-analogs from the charge of semistandard tableaux, star/cht from
 box enumeration over the full weight interval with a comparability DP,
 simple-root coordinates from a Fraction inverse of the Cartan matrix,
-q-analogs from the plain sum over every Weyl group element, Levi
-q-analogs from a walk over the Levi's Weyl group and a recursion over
-its roots, Weyl orbits from a walk by simple reflections, dominant
-conjugates from the images under every Weyl group element, and Jordan
-types from the ranks of matrix powers.  cht also has the earlier
-two-pass search (breadth-first interval, then a longest-chain DP) as an
-oracle for the one-pass walk.  An algebra element's action is also built the
-whole-module way: one sparse matrix per element, summed from the
+q-analogs from the plain sum over every Weyl group element, Freudenthal
+tables from the recursion with every root-string sum rebuilt term by
+term, Levi q-analogs from a walk over the Levi's Weyl group and a
+recursion over its roots, Weyl orbits from a walk by simple
+reflections, dominant conjugates from the images under every Weyl
+group element, and Jordan types from the ranks of matrix powers.  cht
+also has the earlier two-pass search (breadth-first interval, then a
+longest-chain DP) as an oracle for the one-pass walk.  An algebra
+element's action is also built the whole-module way: one sparse matrix per element, summed from the
 operators of its basis terms, which the kernel filtration then
 applies; ad-nilpotency comes from powers of the dense matrix of ad(x).
 """
@@ -25,7 +26,7 @@ import math
 import operator
 from fractions import Fraction
 
-from lieq.height import star
+from lieq.height import dominant_interval, star
 from lieq.linalg import rank_of_sparse
 from lieq.orbits import Partition
 from lieq.qanalog import dominant_multiplicities, q_partition, weyl_dimension
@@ -122,6 +123,42 @@ def lusztig_q_analog_oracle(mu, lam, parabolic=None) -> QPolynomial:
         if term:
             acc = acc + term if w.sign > 0 else acc - term
     return acc
+
+
+def freudenthal_table_oracle(mu) -> dict:
+    """{dominant weight fc: multiplicity} for V(mu), zeros dropped, in the
+    library's key order: Freudenthal's recursion over the same dominant
+    interval in the same depth order, but with every inner sum
+    m(delta + k beta) (delta + k beta, beta) rebuilt term by term for
+    each delta and beta, and each term's multiplicity read through its
+    own dominant conjugate.  Nothing is cached on the system."""
+    system = mu.system
+    form = system.inner_scaled
+    rho = system.rho.fc
+    mu_fc = mu.fc
+    mu_norm = form(mu_fc, mu_fc)
+    mu_rho = tuple(a + b for a, b in zip(mu_fc, rho))
+    shifted_mu_norm = form(mu_rho, mu_rho)
+    betas = [(r.fc, form(r.fc, r.fc)) for r in system.positive_roots]
+    lowest = [-a for a in system.dominant_weight_fc([-a for a in mu_fc])]
+    depths = dominant_interval(system, system.weight(lowest), mu)
+    table = {mu_fc: 1}
+    for delta in sorted(depths, key=depths.get)[1:]:
+        delta_norm = form(delta, delta)
+        total = 0
+        for beta, beta_norm in betas:
+            cross = form(delta, beta)
+            k = 1
+            # |delta + k beta|^2 = |delta|^2 + 2k (delta, beta) + k^2 |beta|^2
+            while delta_norm + k * (2 * cross + k * beta_norm) <= mu_norm:
+                nu = tuple(a + k * b for a, b in zip(delta, beta))
+                total += table.get(system.dominant_weight_fc(nu), 0) * (cross + k * beta_norm)
+                k += 1
+        delta_rho = tuple(a + b for a, b in zip(delta, rho))
+        value, rem = divmod(2 * total, shifted_mu_norm - form(delta_rho, delta_rho))
+        assert rem == 0, (mu_fc, delta)
+        table[delta] = value
+    return {fc: m for fc, m in table.items() if m}
 
 
 def partition_poly_oracle(system, gamma, roots) -> QPolynomial:

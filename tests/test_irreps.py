@@ -97,6 +97,33 @@ def test_dimension_and_weight_spaces_match_oracles(key, fc):
         assert freudenthal_multiplicity(mu, system.weight(wfc)) == mult
 
 
+@pytest.mark.parametrize(
+    "key,fc",
+    [
+        (("A", 1), (199,)),
+        (("A", 2), (12, 0)),
+        (("A", 2), (4, 4)),
+        (("A", 2), (6, 3)),
+        (("B", 2), (6, 0)),
+        (("B", 2), (0, 8)),
+        (("B", 2), (3, 2)),
+        (("G2", 2), (4, 0)),
+        (("G2", 2), (2, 1)),
+    ],
+)
+def test_freudenthal_tables_with_long_root_strings_match_the_module(key, fc):
+    # root strings of four or more steps above a dominant weight, up to
+    # 100 in A1 V(199); the module side counts each weight space
+    system = build_root_system(*key)
+    mu = system.weight(fc)
+    module = build_irrep(system, mu)
+    table = dominant_multiplicities(mu)
+    dominant = {w for w in module.weights if min(w) >= 0}
+    assert sorted(table) == sorted(dominant)
+    for w in dominant:
+        assert table[w] == len(module.weight_space(system.weight(w))), w
+
+
 def test_sl2_relations_on_generator_matrices():
     cases = [(("A", 2), (1, 1)), (("B", 2), (0, 2)), (("G2", 2), (1, 0))]
     for key, fc in cases + OFF_ROOT_LATTICE:

@@ -21,6 +21,8 @@ from lieq.qanalog import _nilradical_roots
 from lieq.rootsystem import RootSystem
 
 from oracles import (
+    dominant_weights_with_dim_bound,
+    freudenthal_table_oracle,
     kostka_foulkes_oracle,
     lusztig_q_analog_oracle,
     partition_poly_oracle,
@@ -235,6 +237,55 @@ def test_dominant_multiplicities_match_freudenthal():
     for fc, mult in table.items():
         assert freudenthal_multiplicity(mu, A3.weight(fc)) == mult
     assert table[mu.fc] == 1
+
+
+@pytest.mark.parametrize("fc", [(-1, 1), (2, -3)])
+def test_dominant_multiplicities_refuse_a_non_dominant_highest_weight(fc):
+    A2 = build_root_system("A", 2)
+    with pytest.raises(ValueError, match="not dominant"):
+        dominant_multiplicities(A2.weight(fc))
+    assert fc not in A2._multiplicity_tables
+
+
+def test_freudenthal_tables_match_the_term_by_term_oracle():
+    # every module of dimension <= 200: A1 reaches V(199), whose strings
+    # run 100 steps; the oracle rebuilds every string sum, the table sums
+    # each string once, and both must give the same values in the same
+    # key order
+    for key in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G2", 2),
+                ("B", 3), ("C", 3), ("D", 4), ("F4", 4)]:
+        system = build_root_system(*key)
+        for mu in dominant_weights_with_dim_bound(system, 200):
+            got = dominant_multiplicities(mu)
+            assert list(got.items()) == list(freudenthal_table_oracle(mu).items()), mu
+
+
+def counted_dominant_conjugates(monkeypatch) -> list:
+    """Replace `RootSystem.dominant_weight_fc` by a wrapper that records
+    the fc of each call."""
+    calls = []
+    dominant = RootSystem.dominant_weight_fc
+
+    def counted(self, fc):
+        calls.append(tuple(fc))
+        return dominant(self, fc)
+
+    monkeypatch.setattr(RootSystem, "dominant_weight_fc", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "key,fc,lookups",
+    # the term-by-term loop made 4951 and 55 lookups
+    [(("A", 1), (199,), 100), (("G2", 2), (2, 1), 25)],
+)
+def test_one_table_reads_each_weight_once(monkeypatch, key, fc, lookups):
+    # a fresh system, so the table is built here: one lookup for w0 mu,
+    # then one per weight on a root string above a dominant weight
+    system = RootSystem(*key, Caps())
+    calls = counted_dominant_conjugates(monkeypatch)
+    dominant_multiplicities(system.weight(fc))
+    assert len(calls) == len(set(calls)) == lookups
 
 
 WEYL_SUM_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("G2", 2)]

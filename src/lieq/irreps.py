@@ -14,9 +14,10 @@ them, and a candidate's tail carries its scale and its coefficients in
 them, the same rationals as a reduction over Q.  Every module carries
 weight tags, one fc tuple per distinct weight, and sparse generator
 matrices in its own coordinates.  A map is {col: column}, each column
-a flat tuple (row0, c0, row1, c1, ...) that `linalg.entries` reads as
-pairs, with `Fraction` entries, one `Fraction` object per distinct
-(numerator, denominator) pair that the int construction produces.  The
+the ints the construction produced, in one flat tuple (den, row0, n0,
+row1, n1, ...): entry k is n_k / den, den > 0 the one denominator the
+construction keeps per basis vector (for the raising images) or per
+f column, and `linalg.entries` reads the (row, n) pairs after it.  The
 raising maps e_i are written when the module is built and kept once:
 the operator of a simple root vector is the stored map itself.  The
 lowering maps f_i, which only negative root vectors read, are built on
@@ -29,9 +30,10 @@ of two such column maps); x itself is never built as a matrix on the
 whole module.  The filtration vectors are ints: x's coefficients are
 scaled to coprime ints once per element and kept on it
 (`AlgebraElement.int_coeffs`), and each image is scaled by the lcm of
-the denominators of the column entries it reads, which it reads by
-numerator and denominator, so the filtration makes no `Fraction`.  The
-exact action `apply_element` stays, for the tests to compare against.
+the dens of the columns it reads (`_scaled_image`), so the filtration
+makes no `Fraction`; the commutators are built by the same kernel.
+The exact action `apply_cols`/`apply_element`, which reads each entry
+as `Fraction(n, den)`, stays, for the tests to compare against.
 The Levi-highest kernel and the rank of a power of two or more vectors
 go through `linalg.eliminate`, as the construction does; a power that
 is one line needs no reduction: its image, divided by its gcd, is the
@@ -42,14 +44,13 @@ next power.  Whether x is nilpotent is decided once per element
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import sub
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_chevalley
 from .config import CapExceeded
-from .linalg import (
-    add_scaled, eliminate, entries, flat_column, sparse_echelon, sparse_nullspace,
-)
+from .linalg import add_scaled, eliminate, entries, sparse_echelon, sparse_nullspace
 from .qanalog import weyl_dimension
 from .qpoly import QPolynomial
 from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
@@ -57,16 +58,16 @@ from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
 
 class ExplicitModule:
     """A concrete module: a weight-tagged basis with sparse column maps
-    for the Chevalley generators, each column a flat tuple of (row,
-    coeff) pairs.  The raising maps come with the module; the lowering
-    maps, which only negative root vectors read, are built on first
-    use."""
+    for the Chevalley generators, each column a flat int tuple (den,
+    row0, n0, row1, n1, ...) of the entries n_k / den.  The raising
+    maps come with the module; the lowering maps, which only negative
+    root vectors read, are built on first use."""
 
     def __init__(self, system, highest_weight, weights, e_cols):
         self.system = system
         self.highest_weight = highest_weight
         self.weights = weights          # fc tuple per basis vector, shared by a weight
-        self.e_cols = e_cols            # e_cols[i][col] = (row0, c0, row1, c1, ...)
+        self.e_cols = e_cols            # e_cols[i][col] = (den, row0, n0, row1, n1, ...)
         self._f_cols = None
         index: dict = {}
         for idx, fc in enumerate(weights):
@@ -80,19 +81,16 @@ class ExplicitModule:
 
     @property
     def f_cols(self) -> list:
-        """f_cols[i][col] = (row0, c0, row1, c1, ...), as e_cols, from a
-        second run of the construction, which is deterministic, on the
-        first access; then kept."""
+        """f_cols[i][col] = (den, row0, n0, row1, n1, ...), as e_cols,
+        from a second run of the construction, which is deterministic,
+        on the first access; then kept."""
         if self._f_cols is None:
             _, _, lowering = _lower_from_highest(
                 self.system, self.highest_weight, self.dim
             )
-            shared: dict = {}
             self._f_cols = [
                 {
-                    col: flat_column(
-                        (row, _fraction(shared, v, den)) for row, v in expr.items()
-                    )
+                    col: (den, *chain.from_iterable(expr.items()))
                     for col, (den, expr) in f_i.items()
                 }
                 for f_i in lowering
@@ -100,34 +98,42 @@ class ExplicitModule:
         return self._f_cols
 
     def weight_space(self, lam: Weight) -> list:
-        """Unit vectors (module coordinates) spanning the weight space."""
-        return [{idx: Fraction(1)} for idx in self.weight_index.get(lam.fc, ())]
+        """Unit vectors {idx: 1} (module coordinates) spanning the
+        weight space."""
+        return [{idx: 1} for idx in self.weight_index.get(lam.fc, ())]
 
     def l_highest_space(self, lam: Weight, parabolic: Parabolic) -> list:
         """Basis of the vectors of weight lam killed by the raising
         operators of the parabolic's Levi, as primitive int vectors:
         the unit vectors for the Borel, else `sparse_nullspace` over
-        the weight space's indices in order."""
-        indices = self.weight_index.get(lam.fc, ())
+        the weight space's indices in order, each constraint row scaled
+        to ints by the lcm of the dens it reads."""
         if not parabolic.indices:
-            return [{idx: 1} for idx in indices]
+            return self.weight_space(lam)
+        indices = self.weight_index.get(lam.fc, ())
         constraints: dict = {}
         for i in sorted(parabolic.indices):
             for idx in indices:
-                for row, coeff in entries(self.e_cols[i].get(idx, ())):
-                    constraints.setdefault((i, row), {})[idx] = coeff
-        return sparse_nullspace(constraints.values(), indices)
+                column = self.e_cols[i].get(idx)
+                if column:
+                    for row, n in entries(column):
+                        constraints.setdefault((i, row), {})[idx] = (n, column[0])
+        rows = []
+        for nd in constraints.values():
+            den = lcm(*(d for _, d in nd.values()))
+            rows.append({idx: n * (den // d) for idx, (n, d) in nd.items()})
+        return sparse_nullspace(rows, indices)
 
     # -- generator / element action ------------------------------------
 
     def apply_cols(self, cols, vec: dict) -> dict:
-        """The flat columns cols applied to vec: the sum of c times
-        column col over vec's items (col, c)."""
+        """The flat columns cols applied to vec, exactly: the sum of
+        c / den times column col's numerators over vec's items (col, c)."""
         out: dict = {}
         for col, c in vec.items():
             column = cols.get(col)
             if column:
-                add_scaled(out, entries(column), c)
+                add_scaled(out, entries(column), Fraction(c, column[0]))
         return out
 
     def _basis_operator(self, basis_index: int):
@@ -141,7 +147,7 @@ class ExplicitModule:
         if kind[0] == "h":
             i = kind[1]
             cols = {
-                idx: (idx, Fraction(self.weights[idx][i]))
+                idx: (1, idx, self.weights[idx][i])
                 for idx in range(self.dim)
                 if self.weights[idx][i]
             }
@@ -160,36 +166,48 @@ class ExplicitModule:
                         break
                 first = algebra.x_index(alpha, sign)
                 second = algebra.x_index(rest, sign)
-                scale = Fraction(1, algebra._ad[first][second][basis_index])
                 cols = self._commutator_cols(
-                    self._basis_operator(first), self._basis_operator(second), scale
+                    self._basis_operator(first), self._basis_operator(second),
+                    algebra._ad[first][second][basis_index],
                 )
         self._operator_cache[basis_index] = cols
         return cols
 
-    def _commutator_cols(self, a, b, scale: Fraction):
-        """Flat columns of scale * [a, b] from the columns of a and b:
-        column col is a(b[col]) - b(a[col]), zero outside both maps'
-        columns."""
+    def _commutator_cols(self, a, b, n: int):
+        """Flat columns of [a, b] / n, n a nonzero int, from the columns
+        of a and b, in ints: column col is a(b[col]) - b(a[col]), zero
+        outside both maps' columns.  Each side is `_scaled_image` of the
+        inner column's numerators, s times its value, s that column's
+        den times the lcm of the dens the image reads; the sides are
+        summed over the lcm L of their s, times n, and the column is
+        over L n^2 > 0, in lowest terms."""
         cols = {}
         for col in sorted(a.keys() | b.keys()):
-            out = self.apply_cols(a, dict(entries(b.get(col, ()))))
-            ba = self.apply_cols(b, dict(entries(a.get(col, ()))))
-            add_scaled(out, ba.items(), -1)
+            sides = []
+            for first, second, sign in ((a, b, n), (b, a, -n)):
+                column = second.get(col)
+                if column:
+                    vec = dict(entries(column))
+                    s = column[0] * lcm(*(first[r][0] for r in vec if r in first))
+                    sides.append((s, sign, _scaled_image([(first, 1)], vec)))
+            den = lcm(*(s for s, _, _ in sides))
+            out: dict = {}
+            for s, sign, image in sides:
+                add_scaled(out, image.items(), sign * (den // s))
             if out:
-                cols[col] = flat_column((k, v * scale) for k, v in out.items())
+                den *= n * n
+                g = gcd(den, *out.values())
+                pairs = ((k, v // g) for k, v in out.items())
+                cols[col] = (den // g, *chain.from_iterable(pairs))
         return cols
 
     def apply_element(self, x: AlgebraElement, vec: dict) -> dict:
-        """x.vec: the sum over x's basis terms c_b of c_b times the
-        operator of basis element b applied to vec."""
+        """x.vec, exactly: the sum over x's basis terms c_b of c_b times
+        the operator of basis element b applied to vec."""
         out: dict = {}
         for basis_index, coeff in x.coeffs.items():
             op = self._basis_operator(basis_index)
-            for col, c in vec.items():
-                column = op.get(col)
-                if column:
-                    add_scaled(out, entries(column), coeff * c)
+            add_scaled(out, self.apply_cols(op, vec).items(), coeff)
         return out
 
     def __repr__(self):
@@ -276,28 +294,20 @@ def _scaled_terms(module: ExplicitModule, x: AlgebraElement) -> list:
 
 
 def _scaled_image(terms, vec: dict) -> dict:
-    """D times x.vec, for x given by its scaled terms and vec an int
-    vector: an int vector, D the lcm of the denominators d of the column
-    entries n / d that vec touches, so that each term w c n (D // d) is
-    an int and no Fraction is made."""
+    """D times x.vec, for x given by its scaled terms (op, w) and vec an
+    int vector: an int vector, D the lcm of the dens of the columns that
+    vec touches, each column (den, ...) added w c (D // den) times, so
+    no Fraction is made."""
     touched = [
         (column, w * c)
         for op, w in terms
         for col, c in vec.items()
         if (column := op.get(col))
     ]
-    den = lcm(*{f.denominator for column, _ in touched for f in column[1::2]})
+    den = lcm(*{column[0] for column, _ in touched})
     out: dict = {}
-    # the update of `linalg.add_scaled`, inline: fed by a generator of
-    # int terms, add_scaled made this, the filtration's hot loop, slower
     for column, wc in touched:
-        for row, f in entries(column):
-            n, d = f.as_integer_ratio()
-            v = out.get(row, 0) + wc * n * (den // d)
-            if v:
-                out[row] = v
-            else:
-                del out[row]
+        add_scaled(out, entries(column), wc * (den // column[0]))
     return out
 
 
@@ -335,7 +345,7 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
     Returns the weights, the raising images and the f_i columns, all in
     ints; `build_irrep` writes the module's e maps from the raising
     images, decoding each key with divmod, and `ExplicitModule.f_cols`
-    the f maps from the columns."""
+    the f maps from the columns, each map column led by its den."""
     rank = system.rank
     alpha_fc = [alpha.fc for alpha in system.simple_roots]
     # weight fc -> its pivots; the key is the one fc tuple every basis
@@ -413,14 +423,6 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
     return weights, raising, lowering
 
 
-def _fraction(shared: dict, v: int, den: int) -> Fraction:
-    """Fraction(v, den), one object per distinct (v, den) in shared."""
-    value = shared.get((v, den))
-    if value is None:
-        value = shared[(v, den)] = Fraction(v, den)
-    return value
-
-
 def _capped_dimension(system: RootSystem, mu: Weight) -> int:
     """dim V(mu), once mu is known to be dominant (else ValueError) and
     the dimension to be within the system's module cap (else
@@ -442,14 +444,13 @@ def build_irrep(system: RootSystem, mu: Weight) -> ExplicitModule:
         dim = _capped_dimension(system, mu)
         weights, raising, _ = _lower_from_highest(system, mu, dim)
         e_cols: list = [dict() for _ in range(system.rank)]
-        shared: dict = {}
         # columns are short (about 1.3 entries), so each grows by
         # concatenation, which is cheaper than grouping rows first
         for idx, (den, images) in enumerate(raising):
             for key, v in images.items():
                 j, row = divmod(key, dim)
                 cols = e_cols[j]
-                cols[idx] = cols.get(idx, ()) + (row, _fraction(shared, v, den))
+                cols[idx] = cols.get(idx, (den,)) + (row, v)
         module = system._irreps[mu.fc] = ExplicitModule(system, mu, weights, e_cols)
     return module
 

@@ -1,10 +1,10 @@
 """Exact sparse linear algebra over the integers.
 
 Vectors are dicts from a sortable key to a coefficient.  A module
-keeps each column of its maps as a flat column instead, one tuple
-(k0, v0, k1, v1, ...) that `flat_column` writes and `entries` reads
-back as (key, value) pairs.  `add_scaled` takes such pairs, a dict's
-items or a flat column's entries, so it is the one sparse update
+keeps each column of its maps as a flat int column instead, one tuple
+(den, k0, n0, k1, n1, ...) of the entries n / den, whose (key, n)
+pairs `entries` reads after the den.  `add_scaled` takes such pairs, a
+dict's items or a flat column's entries, so it is the one sparse update
 (out += c * vec, zeros dropped) for both.  `eliminate` is the one row
 reduction, which module construction, ranks, kernels and the
 filtration's powers of two or more vectors share (a power that is one
@@ -21,20 +21,14 @@ given order, deterministic and reproducible.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd, lcm
 
 
-def flat_column(pairs) -> tuple:
-    """The flat column (k0, v0, k1, v1, ...) of (key, value) pairs, in
-    their order: one tuple where a dict would hold the same entries."""
-    return tuple(chain.from_iterable(pairs))
-
-
 def entries(column: tuple):
-    """The (key, value) pairs of a flat column (k0, v0, k1, v1, ...),
-    read two at a time, in order."""
+    """The (key, n) pairs of a flat column (den, k0, n0, k1, n1, ...),
+    read two at a time after the den, in order."""
     it = iter(column)
+    next(it)
     return zip(it, it)
 
 

@@ -17,6 +17,8 @@ longest-chain DP) as an oracle for the one-pass walk.  An algebra
 element's action is also built the whole-module way: one sparse matrix per element, summed from the
 operators of its basis terms, which the kernel filtration then
 applies; ad-nilpotency comes from powers of the dense matrix of ad(x).
+The module's int commutators are checked against [a, b] / N built from
+the exact `Fraction` action of the two factors.
 """
 
 from __future__ import annotations
@@ -526,25 +528,46 @@ def dominant_weights_with_dim_bound(system, bound):
 
 
 def operator_columns(module, x):
-    """Flat columns {col: (row0, c0, row1, c1, ...)} of an algebra
-    element on the whole module: the sum of its basis terms' operator
-    columns, each read from its flat tuple by slicing."""
+    """Flat columns {col: (den, row0, n0, row1, n1, ...)} of an algebra
+    element on the whole module, in the module's format: the sum of its
+    basis terms' operator columns, each entry read from its flat tuple
+    by slicing as Fraction(n, den), then written over the lcm of the
+    column's denominators."""
     cols: dict = {}
     for basis_index, coeff in x.coeffs.items():
         op = module._basis_operator(basis_index)
         for col, column in op.items():
             dest = cols.setdefault(col, {})
-            for row, v in zip(column[::2], column[1::2]):
-                nv = dest.get(row, 0) + coeff * v
+            for row, n in zip(column[1::2], column[2::2]):
+                nv = dest.get(row, 0) + coeff * Fraction(n, column[0])
                 if nv:
                     dest[row] = nv
                 else:
                     dest.pop(row, None)
-    return {
-        c: tuple(entry for pair in col.items() for entry in pair)
-        for c, col in cols.items()
-        if col
-    }
+    out = {}
+    for c, col in cols.items():
+        if col:
+            den = math.lcm(*(Fraction(v).denominator for v in col.values()))
+            out[c] = (den,) + tuple(
+                entry for row, v in col.items() for entry in (row, int(v * den))
+            )
+    return out
+
+
+def commutator_columns(module, a, b, n):
+    """Columns of [a, b] / n for two operators' columns, from the exact
+    action: column col is Fraction(1, n) (a(b e_col) - b(a e_col)), as a
+    {row: Fraction} dict, over every column where it is nonzero."""
+    cols = {}
+    for col in range(module.dim):
+        unit = {col: 1}
+        out = module.apply_cols(a, module.apply_cols(b, unit))
+        for row, v in module.apply_cols(b, module.apply_cols(a, unit)).items():
+            out[row] = out.get(row, 0) - v
+        out = {row: Fraction(v, n) for row, v in out.items() if v}
+        if out:
+            cols[col] = out
+    return cols
 
 
 def filtration_oracle(module, x, lam, parabolic):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -25,12 +26,15 @@ from lieq import (
     weyl_dimension,
 )
 from lieq.chevalley import AlgebraElement
-from lieq.linalg import sparse_echelon
+from lieq.linalg import rank_of_sparse, sparse_echelon
 from lieq.orbits import BUILTIN_ORBITS, associated_parabolic, partition_labels
 from lieq.qpoly import QPolynomial
 from lieq.rootsystem import RootSystem
 
-from oracles import dominant_weights_with_dim_bound, filtration_oracle, operator_columns
+from oracles import (
+    commutator_columns, dominant_weights_with_dim_bound, filtration_oracle,
+    operator_columns,
+)
 
 
 # modules whose highest weight is off the root lattice outside type A,
@@ -151,7 +155,7 @@ def test_e_raises_weight_by_a_simple_root():
         ].fc
         for col, column in module.e_cols[i].items():
             source = module.weights[col]
-            for row in column[::2]:
+            for row in column[1::2]:
                 assert module.weights[row] == tuple(
                     a + b for a, b in zip(source, alpha_fc)
                 )
@@ -279,7 +283,8 @@ def test_basis_operators_are_pinned(key, fc, digest):
 # sha256 prefix, per system, of the construction of every module with
 # dim <= 200, as [[mu, weights, e_cols, f_cols] for each mu], each column
 # map as [[col, [[row, str(v)] in stored order]] per generator], the
-# pairs read from each flat (row0, c0, row1, c1, ...) column
+# entries v = Fraction(n, den) read from each flat (den, row0, n0, row1,
+# n1, ...) column
 CONSTRUCTION_DIGESTS = [
     (("A", 4), 36, "46addb839848"),
     (("B", 3), 15, "3e84215359a2"),
@@ -294,7 +299,8 @@ CONSTRUCTION_DIGESTS = [
 def test_construction_is_pinned(key, count, digest):
     def pinned(cols):
         return [
-            [[c, [[row, str(v)] for row, v in zip(col[::2], col[1::2])]]
+            [[c, [[row, str(Fraction(n, col[0]))]
+                  for row, n in zip(col[1::2], col[2::2])]]
              for c, col in by_col.items()]
             for by_col in cols
         ]
@@ -713,3 +719,117 @@ def test_only_powers_of_two_or_more_vectors_build_an_echelon(monkeypatch):
                 instances += 1
     assert min(calls) >= 2
     assert (instances, len(calls)) == (121, 58)
+
+
+def counted_fractions(monkeypatch) -> list:
+    """Replace `Fraction` in `lieq.irreps` by a wrapper that records
+    the arguments of each construction."""
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(lieq.irreps, "Fraction", counted)
+    return made
+
+
+@pytest.mark.parametrize(
+    "key,fc", [(("A", 3), (1, 0, 1)), (("B", 2), (1, 1)), (("G2", 2), (1, 1))]
+)
+def test_levi_highest_spaces_are_the_exact_kernels(key, fc):
+    # each column of e_i has its own den, so every constraint row mixes
+    # dens; at every weight and for every parabolic, the space is killed
+    # by the Levi's raising maps in the exact action and has the
+    # dimension of the kernel of those maps on the weight space
+    system, module = module_of(key[0], key[1], fc)
+    for size in range(1, system.rank + 1):
+        for indices in itertools.combinations(range(system.rank), size):
+            parabolic = system.parabolic(list(indices))
+            for wt in sorted(set(module.weights)):
+                space = module.l_highest_space(system.weight(wt), parabolic)
+                for v in space:
+                    for i in indices:
+                        assert module.apply_cols(module.e_cols[i], v) == {}
+                assert rank_of_sparse(space) == len(space)
+                units = module.weight_index[wt]
+                images = [
+                    {
+                        (i, row): c
+                        for i in indices
+                        for row, c in module.apply_cols(
+                            module.e_cols[i], {idx: 1}
+                        ).items()
+                    }
+                    for idx in units
+                ]
+                assert len(space) == len(units) - rank_of_sparse(images)
+
+
+def test_construction_filtration_and_operators_make_no_fraction(monkeypatch):
+    # systems outside the process cache, so every module, lowering map
+    # and operator below is built under the counter
+    made = counted_fractions(monkeypatch)
+    for key in [("A", 2), ("A", 3), ("B", 2), ("G2", 2)]:
+        system = RootSystem(*key, Caps())
+        e = principal_nilpotent(build_chevalley(system))
+        for mu in dominant_weights_with_dim_bound(system, 30):
+            module = build_irrep(system, mu)
+            assert module.f_cols
+            assert made == []
+            for fc in sorted(dominant_multiplicities(mu)):
+                bk_jump_polynomial(module, e, system.weight(fc), system.borel())
+            assert made == []
+    system = RootSystem("A", 3, Caps())
+    module = build_irrep(system, system.weight((1, 0, 1)))
+    algebra = build_chevalley(system)
+    for b in range(algebra.dim):
+        assert all(
+            type(v) is int for column in module._basis_operator(b).values()
+            for v in column
+        )
+    assert made == []
+    # the exact action still reads each entry through the counter
+    module.apply_element(e, {0: 1})
+    assert made
+
+
+@pytest.mark.parametrize(
+    "key,fc",
+    [(("A", 3), (1, 0, 1)), (("B", 2), (1, 1)), (("G2", 2), (1, 0)),
+     (("B", 3), (0, 0, 1))],
+)
+def test_non_simple_root_operators_are_int_commutators(key, fc):
+    # each column is over its least positive den, and equals
+    # [a, b] / N from the exact action of the two factors that
+    # _basis_operator takes: the first simple root whose removal
+    # leaves a root, and that rest
+    system, module = module_of(key[0], key[1], fc)
+    algebra = build_chevalley(system)
+    by_rc = system._root_by_rc
+    checked = 0
+    for root in system.positive_roots:
+        if root.height == 1:
+            continue
+        for alpha in system.simple_roots:
+            rest = by_rc.get(tuple(a - b for a, b in zip(root.rc, alpha.rc)))
+            if rest is not None:
+                break
+        for sign in (1, -1):
+            first, second = algebra.x_index(alpha, sign), algebra.x_index(rest, sign)
+            index = algebra.x_index(root, sign)
+            op = module._basis_operator(index)
+            for column in op.values():
+                assert all(type(v) is int for v in column)
+                assert column[0] > 0 and math.gcd(*column[::2]) == 1
+            expected = commutator_columns(
+                module, module._basis_operator(first), module._basis_operator(second),
+                algebra._ad[first][second][index],
+            )
+            assert {
+                col: {row: Fraction(n, column[0]) for row, n in
+                      zip(column[1::2], column[2::2])}
+                for col, column in op.items()
+            } == expected
+            checked += 1
+    assert checked == 2 * (len(system.positive_roots) - system.rank)

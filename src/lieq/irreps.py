@@ -50,7 +50,9 @@ from operator import sub
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_chevalley
 from .config import CapExceeded
-from .linalg import add_scaled, eliminate, entries, sparse_echelon, sparse_nullspace
+from .linalg import (
+    _primitive, add_scaled, eliminate, entries, sparse_echelon, sparse_nullspace
+)
 from .qanalog import weyl_dimension
 from .qpoly import QPolynomial
 from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
@@ -262,13 +264,7 @@ def bk_jump_polynomial(
             # one line: its image, made primitive as sparse_echelon
             # makes a single row, is the next power's whole basis
             image = _scaled_image(terms, current[0])
-            if image:
-                g = gcd(*image.values())
-                if g > 1:
-                    image = {k: v // g for k, v in image.items()}
-                current = [image]
-            else:
-                current = []
+            current = [_primitive(image)] if image else []
         else:
             basis = sparse_echelon(_scaled_image(terms, v) for v in current)
             current = [row for row, _ in basis.values()]
@@ -338,9 +334,11 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
     the pivot and R[pivot] = r > 0, r times the images of basis vector
     b = `index`, so its tail counts R as -r times -b.  A candidate v
     enters as its int images W with the tail {-1: S}, W = S v, and
-    leaves with W = S v - sum X_b b and the tail {-1: S, b: X_b}: after
-    a gcd division that is the f_i column (S, X), the same rationals as
-    a reduction over Q.
+    leaves with W = S v - sum X_b b and the tail {-1: S, b: X_b}, up to
+    the positive factor `eliminate` leaves in: each is made primitive
+    once, where it is kept.  A new basis vector's R is W over its gcd,
+    signed so that R[pivot] > 0, and the tail over its gcd is the f_i
+    column (S, X), the same rationals as a reduction over Q.
 
     Returns the weights, the raising images and the f_i columns, all in
     ints; `build_irrep` writes the module's e maps from the raising

@@ -14,9 +14,13 @@ rows as they are, as the filtration makes them, while `rank_of_sparse`
 and `sparse_nullspace` rescale rational rows to int ones, which have
 the same rank and kernel.  Beside each row runs an
 integer tail, the combination of inputs the row stands for, so a
-kernel vector is the tail of a column that reduces to zero: kernel
-bases are primitive integer vectors, one per dependent column in the
-given order, deterministic and reproducible.
+kernel vector is the tail of a column that reduces to zero.  No step
+divides out the content of row and tail, so `eliminate` fixes its
+output only up to a positive factor, and a caller makes primitive, once,
+each row it keeps: `sparse_echelon` its pivot rows, `sparse_nullspace`
+each pivot and kernel vector jointly with its tail.  So kernel bases
+are primitive integer vectors, one per dependent column in the given
+order, deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -48,17 +52,22 @@ def add_scaled(out: dict, pairs, c=1) -> dict:
 def eliminate(row: dict, tail: dict, pivots: dict) -> tuple:
     """Reduce the int row against pivots {p: (R, T)}, R an int row with
     least key p, until no key of the row is a pivot; returns the
-    reduced (row, tail), updated in place.  Pivots go least key first;
-    a step row <- r row - c R, with r, c = R[p], row[p] over their gcd,
-    does the same to the tail with T, then divides row and tail by
-    their gcd.  So if row = sum tail[k] u_k and each R = sum T[k] u_k on
-    entry, the same holds on return: the reduced row is a multiple of
-    the input row minus the combination of pivots the tail records."""
-    while True:
-        hits = [k for k in row if k in pivots]
-        if not hits:
-            return row, tail
-        p = min(hits)
+    reduced (row, tail), updated in place.  Pivots go least key first,
+    each found in one pass over the row; a step row <- r row - c R, with
+    r, c = R[p], row[p] over their gcd, does the same to the tail with
+    T.  No step divides out the content of row and tail, so the result
+    is a positive multiple of the one that a division after every step
+    would give, and a caller that keeps a row makes it primitive once.
+    If row = sum tail[k] u_k and each R = sum T[k] u_k on entry, the
+    same holds on return: the reduced row is a multiple of the input
+    row minus the combination of pivots the tail records."""
+    while pivots:
+        p = None
+        for k in row:
+            if k in pivots and (p is None or k < p):
+                p = k
+        if p is None:
+            break
         prow, ptail = pivots[p]
         g = gcd(prow[p], row[p])
         r, c = prow[p] // g, row[p] // g
@@ -70,21 +79,21 @@ def eliminate(row: dict, tail: dict, pivots: dict) -> tuple:
         add_scaled(row, prow.items(), -c)
         if ptail:
             add_scaled(tail, ptail.items(), -c)
-        g = gcd(*row.values(), *tail.values())
-        if g > 1:
-            row = {k: v // g for k, v in row.items()}
-            tail = {k: v // g for k, v in tail.items()}
+    return row, tail
+
+
+def _primitive(vec: dict) -> dict:
+    """vec over the positive gcd of its int entries, sign kept; vec
+    itself when that gcd is 1."""
+    g = gcd(*vec.values())
+    return {k: v // g for k, v in vec.items()} if g > 1 else vec
 
 
 def _sparse_row_to_int(row: dict) -> dict:
     """The primitive int row with row's support and direction."""
     ratios = {k: v.as_integer_ratio() for k, v in row.items()}
     den = lcm(*(d for _, d in ratios.values()))
-    out = {k: n * (den // d) for k, (n, d) in ratios.items() if n}
-    g = gcd(*out.values())
-    if g > 1:
-        out = {k: v // g for k, v in out.items()}
-    return out
+    return _primitive({k: n * (den // d) for k, (n, d) in ratios.items() if n})
 
 
 def sparse_echelon(rows) -> dict:
@@ -96,10 +105,7 @@ def sparse_echelon(rows) -> dict:
     for row in rows:
         row, tail = eliminate(row, {}, pivots)
         if row:
-            g = gcd(*row.values())
-            if g > 1:
-                row = {k: v // g for k, v in row.items()}
-            pivots[min(row)] = (row, tail)
+            pivots[min(row)] = (_primitive(row), tail)
     return pivots
 
 
@@ -113,7 +119,9 @@ def sparse_nullspace(rows, columns) -> list[dict]:
     """Kernel basis for sparse constraint rows over the given column
     keys: one primitive int vector per column that depends on the
     columns before it, in the given order, with a positive coefficient
-    on that column and none on later ones."""
+    on that column and none on later ones.  Each column leaves
+    `eliminate` as (vec, tail) and is divided by their joint gcd once,
+    before it is kept as a pivot or its tail is returned."""
     cols: dict = {col: {} for col in columns}
     for n, raw in enumerate(rows):
         for col, v in _sparse_row_to_int(raw).items():
@@ -122,6 +130,10 @@ def sparse_nullspace(rows, columns) -> list[dict]:
     basis = []
     for col, vec in cols.items():
         vec, tail = eliminate(vec, {col: 1}, pivots)
+        g = gcd(*vec.values(), *tail.values())
+        if g > 1:
+            vec = {k: v // g for k, v in vec.items()}
+            tail = {k: v // g for k, v in tail.items()}
         if vec:
             pivots[min(vec)] = (vec, tail)
         else:

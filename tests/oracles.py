@@ -18,7 +18,9 @@ element's action is also built the whole-module way: one sparse matrix per eleme
 operators of its basis terms, which the kernel filtration then
 applies; ad-nilpotency comes from powers of the dense matrix of ad(x).
 The module's int commutators are checked against [a, b] / N built from
-the exact `Fraction` action of the two factors.
+the exact `Fraction` action of the two factors.  The one elimination is
+checked against a reduction that divides out the content of row and
+tail after every step.
 """
 
 from __future__ import annotations
@@ -86,6 +88,33 @@ def fraction_gauss_jordan(rows, columns):
                 vec[columns[j]] = -mat[r][f]
         kernel.append(vec)
     return [columns[j] for j in pivots], [columns[f] for f in free], kernel
+
+
+def eliminate_dividing(row: dict, tail: dict, pivots: dict) -> tuple:
+    """The fraction-free reduction of `linalg.eliminate` with a content
+    division after every step: pivots least key first, a step
+    row <- r row - c R (r, c = R[p], row[p] over their gcd) done to the
+    tail with T too, then row and tail divided by their joint gcd.
+    Returns the reduced (row, tail) as new dicts."""
+    row, tail = dict(row), dict(tail)
+    while True:
+        hits = [k for k in row if k in pivots]
+        if not hits:
+            return row, tail
+        p = min(hits)
+        prow, ptail = pivots[p]
+        g = math.gcd(prow[p], row[p])
+        r, c = prow[p] // g, row[p] // g
+        row = {k: r * v for k, v in row.items()}
+        tail = {k: r * v for k, v in tail.items()}
+        for vec, other in ((row, prow), (tail, ptail)):
+            for k, v in other.items():
+                vec[k] = vec.get(k, 0) - c * v
+                if not vec[k]:
+                    del vec[k]
+        g = math.gcd(*row.values(), *tail.values())
+        row = {k: v // g for k, v in row.items()}
+        tail = {k: v // g for k, v in tail.items()}
 
 
 def fraction_rank(rows, columns) -> int:

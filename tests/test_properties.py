@@ -13,8 +13,11 @@ that the dominant conjugate, star and the combinatorial height cht obey
 along roots and under simple reflections, the norm bound on cht, and
 the direct predicate for cht = 0.  Property tests over small random
 sparse matrices: the one elimination's ranks, kernels and tails against
-a plain Gauss-Jordan over Fraction.  Examples are derandomized and no
-example database is kept, so every run checks the same cases."""
+a plain Gauss-Jordan over Fraction, and its (row, tail) against a
+reduction that divides out their content after every step, which the
+one elimination leaves to the rows it keeps.  Examples are
+derandomized and no example database is kept, so every run checks the
+same cases."""
 
 import itertools
 import math
@@ -24,9 +27,10 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import lieq.linalg
 from lieq import (
     AlgebraElement,
     Caps,
@@ -43,10 +47,11 @@ from lieq import (
     star,
     weyl_dimension,
 )
-from lieq.linalg import eliminate, rank_of_sparse, sparse_nullspace
+from lieq.linalg import eliminate, rank_of_sparse, sparse_echelon, sparse_nullspace
 from lieq.qanalog import _nilradical_roots, _partition_table
 from lieq.rootsystem import RootSystem
 from oracles import (
+    eliminate_dividing,
     filtration_oracle,
     fraction_gauss_jordan,
     fraction_rank,
@@ -360,6 +365,8 @@ def test_rank_matches_gauss_jordan(matrix):
 
 @PROPERTY_SETTINGS
 @given(sparse_matrix())
+# the last column's kernel vector leaves the elimination as 2 (0, 1, 1)
+@example(([{0: 2, 1: -1, 2: 1}, {}, {0: 2}], [0, 1, 2]))
 def test_nullspace_is_a_kernel_basis(matrix):
     rows, columns = matrix
     _, free, kernel = fraction_gauss_jordan(rows, columns)
@@ -367,6 +374,7 @@ def test_nullspace_is_a_kernel_basis(matrix):
     assert len(basis) == len(columns) - fraction_rank(rows, columns)
     for vec in basis:
         assert all(type(v) is int for v in vec.values())
+        assert math.gcd(*vec.values()) == 1
         assert all(dot(row, vec) == 0 for row in rows)
     # independent, and spanning the oracle's kernel
     assert fraction_rank(basis, columns) == len(basis)
@@ -376,17 +384,41 @@ def test_nullspace_is_a_kernel_basis(matrix):
     lasts = [max(vec) for vec in basis]
     assert lasts == free
     assert all(vec[last] > 0 for vec, last in zip(basis, lasts))
+    # so each is the oracle's vector for its column, as a primitive int
+    # vector
+    for vec, ref in zip(basis, kernel):
+        den = math.lcm(*(v.denominator for v in ref.values()))
+        ints = {k: int(v * den) for k, v in ref.items() if v}
+        g = math.gcd(*ints.values())
+        assert vec == {k: v // g for k, v in ints.items()}
+
+
+def int_rows(rows):
+    """Each row times the lcm of its denominators."""
+    inputs = []
+    for row in rows:
+        den = math.lcm(*(Fraction(v).denominator for v in row.values()))
+        inputs.append({k: int(v * den) for k, v in row.items()})
+    return inputs
+
+
+def positive_multiple(new: dict, old: dict) -> bool:
+    """new = k old for some rational k > 0, keys and all."""
+    if new.keys() != old.keys():
+        return False
+    if not old:
+        return True
+    k0 = next(iter(old))
+    return new[k0] * old[k0] > 0 and all(
+        new[k] * old[k0] == new[k0] * old[k] for k in old
+    )
 
 
 @PROPERTY_SETTINGS
 @given(sparse_matrix())
 def test_eliminate_keeps_the_tail_invariant(matrix):
     rows, _ = matrix
-    # integer inputs: each row times the lcm of its denominators
-    inputs = []
-    for row in rows:
-        den = math.lcm(*(Fraction(v).denominator for v in row.values()))
-        inputs.append({k: int(v * den) for k, v in row.items()})
+    inputs = int_rows(rows)
     pivots: dict = {}
     for n, row in enumerate(inputs):
         reduced, tail = eliminate(dict(row), {n: 1}, pivots)
@@ -399,3 +431,61 @@ def test_eliminate_keeps_the_tail_invariant(matrix):
         assert reduced == {k: v for k, v in combination.items() if v}
         if reduced:
             pivots[min(reduced)] = (reduced, tail)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_matrix())
+def test_eliminate_is_a_positive_multiple_of_the_dividing_reduction(matrix):
+    """With the same pivots, `eliminate` reduces to the keys of the
+    reduction that divides after every step, its (row, tail) a positive
+    multiple of that one; each kept row is made primitive, as
+    `sparse_echelon` keeps it, and the two echelon bases agree."""
+    rows, _ = matrix
+    inputs = int_rows(rows)
+    pivots: dict = {}
+    primitive_rows: dict = {}
+    for n, row in enumerate(inputs):
+        old_row, old_tail = eliminate_dividing(row, {n: 1}, pivots)
+        new_row, new_tail = eliminate(dict(row), {n: 1}, pivots)
+        assert new_row.keys() == old_row.keys()
+        joint_new = {**new_row, **{("tail", k): v for k, v in new_tail.items()}}
+        joint_old = {**old_row, **{("tail", k): v for k, v in old_tail.items()}}
+        assert positive_multiple(joint_new, joint_old)
+        if old_row:
+            p = min(old_row)
+            pivots[p] = (old_row, old_tail)
+            g = math.gcd(*old_row.values())
+            primitive_rows[p] = {k: v // g for k, v in old_row.items()}
+    echelon = sparse_echelon(dict(row) for row in inputs)
+    assert {p: row for p, (row, _) in echelon.items()} == primitive_rows
+    for row, tail in echelon.values():
+        assert math.gcd(*row.values()) == 1
+        assert tail == {}
+
+
+def test_eliminate_divides_no_content(monkeypatch):
+    """One gcd per elimination step, for r and c: no step divides out
+    the content of row and tail.  Each step makes one `add_scaled` call
+    on the row, as the pivots' tails here are empty."""
+    calls = {"gcd": 0, "add_scaled": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(lieq.linalg, "gcd", counted("gcd", math.gcd))
+    monkeypatch.setattr(
+        lieq.linalg, "add_scaled", counted("add_scaled", lieq.linalg.add_scaled)
+    )
+    pivots = {
+        0: ({0: 2, 1: 1, 2: 1, 3: 1}, {}),
+        1: ({1: 3, 2: 1, 3: 2}, {}),
+        2: ({2: 5, 3: 1}, {}),
+    }
+    # steps at 0 (r, c = 1, 2), 1 (1, 1) and 2 (5, 3)
+    row, tail = eliminate({0: 4, 1: 5, 2: 6, 3: 2}, {7: 2}, pivots)
+    assert (row, tail) == ({3: -13}, {7: 10})
+    assert calls == {"gcd": 3, "add_scaled": 3}

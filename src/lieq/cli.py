@@ -13,22 +13,19 @@ import json
 import sys
 import warnings
 
-from .chevalley import build_chevalley
 from .config import DEFAULT_SEED, CapExceeded
 from .height import cht, cht_is_zero_fast, star
 from .irreps import _capped_dimension, bk_jump_polynomial, build_irrep
 from .orbits import (
     Partition,
     associated_parabolic,
-    good_position_representative,
-    is_even_labels,
     is_even_partition,
     levi_dimension,
     partition_labels,
 )
 from .qanalog import lusztig_q_analog, q_partition
 from .rootsystem import _DIAGRAMS, build_root_system, weyl_group_order
-from .verify import orbit_data, orbit_labels, verify_theorem
+from .verify import orbit_data, verify_theorem
 
 
 def _parse_ints(args, name: str) -> list:
@@ -62,12 +59,27 @@ def _parabolic_from(system, args):
     return system.parabolic([node - 1 for node in nodes])
 
 
+def _orbit_spec(args):
+    """The orbit of --partition or --orbit, of which argparse takes
+    exactly one: a Partition or the orbit's name."""
+    if args.partition is not None:
+        return Partition(_parse_ints(args, "partition"))
+    return args.orbit
+
+
 def _add_system_args(parser):
     parser.add_argument("--type", required=True, choices=list(_DIAGRAMS))
     parser.add_argument("--rank", required=True, type=int)
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--root-coords", action="store_true",
                         help="read weights in simple-root coordinates")
+
+
+def _add_orbit_args(parser):
+    orbit = parser.add_mutually_exclusive_group(required=True)
+    orbit.add_argument("--partition", help="a type-A partition, as 3,1")
+    orbit.add_argument("--orbit", help="'principal' or a built-in orbit name")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 def _emit(args, payload: dict, text_lines):
@@ -163,20 +175,14 @@ def cmd_cht(args):
 
 def cmd_orbit(args):
     system = _system_from(args)
-    algebra = build_chevalley(system)
-    if args.partition:
-        partition = Partition(tuple(_parse_ints(args, "partition")))
-        labels = partition_labels(system, partition)
-        name = "[%s]" % ",".join(str(p) for p in partition)
-        even = is_even_partition(partition)
-        rep = good_position_representative(algebra, labels, args.seed) if even else None
-    elif args.orbit:
-        name, labels, rep = orbit_data(system, args.orbit, args.seed)
-        even = is_even_labels(labels)
+    spec = _orbit_spec(args)
+    if isinstance(spec, Partition) and not is_even_partition(spec):
+        # an orbit that is not even has no representative in g_2
+        name, labels, rep = str(spec), partition_labels(system, spec), None
+        parabolic = associated_parabolic(system, labels)
     else:
-        print("orbit: need --partition or --orbit", file=sys.stderr)
-        return 2
-    parabolic = associated_parabolic(system, labels)
+        name, labels, parabolic, rep = orbit_data(system, spec, args.seed)
+    even = rep is not None
     payload = {
         "orbit": name,
         "labels": list(labels),
@@ -190,9 +196,8 @@ def cmd_orbit(args):
         f"even       = {even}",
     ]
     if even:
-        support = sorted(
-            algebra.index_data(i)[2].rc for i in rep.coeffs
-        )
+        algebra = rep.algebra
+        support = sorted(algebra.index_data(i)[2].rc for i in rep.coeffs)
         centralizer = algebra.centralizer_dimension(rep)
         payload.update(
             {
@@ -213,17 +218,7 @@ def cmd_bk(args):
     system = _system_from(args)
     mu = _weight_from(system, args, "mu")
     lam = _weight_from(system, args, "lambda")
-    if args.principal:
-        spec = "principal"
-    elif args.partition:
-        spec = Partition(tuple(_parse_ints(args, "partition")))
-    elif args.orbit:
-        spec = args.orbit
-    else:
-        print("bk: need --partition, --orbit, or --principal", file=sys.stderr)
-        return 2
-    name, labels, rep = orbit_data(system, spec, args.seed)
-    parabolic = associated_parabolic(system, labels)
+    name, _, parabolic, rep = orbit_data(system, _orbit_spec(args), args.seed)
     module = build_irrep(system, mu)
     report = bk_jump_polynomial(module, rep, lam, parabolic)
     payload = {
@@ -260,15 +255,9 @@ _ENTRY_VALUES = {
 }
 
 
-def _entry_orbit(inst):
-    """The orbit specification of a verify entry; a partition wins over
-    an orbit name."""
-    if "partition" in inst:
-        return Partition(tuple(inst["partition"]))
-    return inst["orbit"]
-
-
-def _check_verify_entry(k: int, inst) -> None:
+def _check_verify_entry(k: int, inst, seed: int):
+    """Check verify entry k and return its Orbit, resolved once; every
+    error names the entry."""
     if not isinstance(inst, dict):
         raise ValueError(f"verify entry {k}: must be a JSON object")
     for key in ("type", "rank", "mu", "lambda"):
@@ -276,12 +265,14 @@ def _check_verify_entry(k: int, inst) -> None:
             raise ValueError(f"verify entry {k}: missing key {key!r}")
     if "partition" not in inst and "orbit" not in inst:
         raise ValueError(f"verify entry {k}: needs 'partition' or 'orbit'")
+    if "partition" in inst and "orbit" in inst:
+        raise ValueError(f"verify entry {k}: gives both 'partition' and 'orbit'")
     for key, (kind, ok) in _ENTRY_VALUES.items():
         if key in inst and not ok(inst[key]):
             raise ValueError(f"verify entry {k}: {key!r} must be {kind}")
     try:
         system = build_root_system(inst["type"], inst["rank"])
-        orbit_labels(system, _entry_orbit(inst))
+        orbit = orbit_data(system, inst.get("partition", inst.get("orbit")), seed)
         for key in ("mu", "lambda"):
             if len(inst[key]) != system.rank:
                 raise ValueError(
@@ -290,6 +281,7 @@ def _check_verify_entry(k: int, inst) -> None:
         _capped_dimension(system, system.weight(inst["mu"]))
     except (ValueError, CapExceeded) as exc:
         raise ValueError(f"verify entry {k}: {exc}") from None
+    return orbit
 
 
 def cmd_verify(args):
@@ -298,15 +290,14 @@ def cmd_verify(args):
     if not isinstance(instances, list):
         print("verify: config must be a JSON array", file=sys.stderr)
         return 2
-    for k, inst in enumerate(instances):
-        _check_verify_entry(k, inst)
+    orbits = [_check_verify_entry(k, inst, args.seed) for k, inst in enumerate(instances)]
     reports = []  # (system name, report)
     failed = False
-    for inst in instances:
+    for inst, orbit in zip(instances, orbits):
         system = build_root_system(inst["type"], inst["rank"])
         mu = system.weight(inst["mu"])
         lam = system.weight(inst["lambda"])
-        report = verify_theorem(system, mu, lam, _entry_orbit(inst), seed=args.seed)
+        report = verify_theorem(system, mu, lam, orbit)
         reports.append((system.name, report))
         if report.certificate.certified and not report.equal:
             failed = True
@@ -355,19 +346,14 @@ def build_parser():
 
     p = sub.add_parser("orbit", help="nilpotent orbit data")
     _add_system_args(p)
-    p.add_argument("--partition", default="")
-    p.add_argument("--orbit", default="")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_orbit_args(p)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("bk", help="jump polynomial of the kernel filtration")
     _add_system_args(p)
     p.add_argument("--mu", required=True)
     p.add_argument("--lambda", required=True)
-    p.add_argument("--partition", default="")
-    p.add_argument("--orbit", default="")
-    p.add_argument("--principal", action="store_true")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_orbit_args(p)
     p.set_defaults(func=cmd_bk)
 
     p = sub.add_parser("verify", help="check r = m on configured instances")

@@ -455,7 +455,5 @@ def build_irrep(system: RootSystem, mu: Weight) -> ExplicitModule:
 
 def principal_nilpotent(algebra: ChevalleyAlgebra) -> AlgebraElement:
     """Sum of the simple positive root vectors."""
-    out = algebra.zero()
-    for alpha in algebra.system.simple_roots:
-        out = out + algebra.x(alpha)
-    return out
+    simple = algebra.system.simple_roots
+    return AlgebraElement(algebra, {algebra.x_index(alpha): 1 for alpha in simple})

@@ -11,6 +11,7 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .config import DEFAULT_SEED
@@ -51,6 +52,15 @@ class Partition:
 
     def __repr__(self):
         return f"Partition{self.parts}"
+
+    def __str__(self):
+        return "[%s]" % ",".join(map(str, self.parts))
+
+
+# An even orbit, resolved once by `verify.orbit_data`: its name, weighted
+# Dynkin labels, the parabolic of its grading and a Richardson
+# representative in g_2.
+Orbit = namedtuple("Orbit", "name labels parabolic representative")
 
 
 # Weighted Dynkin diagrams outside type A that the package knows about.
@@ -156,9 +166,9 @@ def good_position_representative(
             coeffs = [1] * len(grade2)
         else:
             coeffs = [rng.randint(1, 5) for _ in grade2]
-        cand = algebra.zero()
-        for c, root in zip(coeffs, grade2):
-            cand = cand + c * algebra.x(root)
+        cand = AlgebraElement(
+            algebra, {algebra.x_index(r): c for c, r in zip(coeffs, grade2)}
+        )
         if algebra.centralizer_dimension(cand) == target:
             return cand
     raise ValueError(

@@ -3,6 +3,10 @@ alternating-sum q-analog on concrete instances, together with a
 syntactic certificate recording which proven sufficient condition for
 the required cohomology vanishing applies.
 
+Each instance is compared on an `orbits.Orbit`, which `orbit_data`
+resolves from a specification (principal, a built-in name or a
+partition) once: a caller that runs many instances on one orbit passes
+the Orbit to `verify_theorem` and reuses its representative.
 Certificates are decided purely from the stated hypotheses; instances
 without a certificate are reported but never asserted equal.
 """
@@ -18,6 +22,7 @@ from .height import cht_is_zero_fast
 from .irreps import bk_jump_polynomial, build_irrep
 from .orbits import (
     BUILTIN_ORBITS,
+    Orbit,
     Partition,
     associated_parabolic,
     good_position_representative,
@@ -121,60 +126,55 @@ class VerificationReport(NamedTuple):
         }
 
 
-def orbit_labels(system: RootSystem, orbit_spec):
-    """(name, labels) for an orbit specification: a Partition, the
-    string 'principal', or a named built-in orbit.  Raises ValueError
-    for an unknown name, a partition that does not fit the system, or
-    an orbit that is not even."""
+def orbit_data(system: RootSystem, orbit_spec, seed: int = DEFAULT_SEED) -> Orbit:
+    """The Orbit of a specification: the string 'principal', a built-in
+    orbit's name, or a Partition or its parts.  This is the one place an
+    orbit is resolved; its labels, parabolic and seeded Richardson
+    representative are computed once, so a caller that compares many
+    instances on one orbit resolves it once and passes the Orbit.
+    Raises ValueError for an unknown name, a partition that does not
+    fit the system, or an orbit that is not even.  The principal orbit
+    takes no path of its own: on the all-2 diagram g_2 is spanned by
+    the simple root vectors, and the first draw, their sum, is
+    `principal_nilpotent`."""
     if orbit_spec == "principal":
-        return "principal", tuple(2 for _ in range(system.rank))
-    if isinstance(orbit_spec, str):
-        table = BUILTIN_ORBITS.get(system.key, {})
-        if orbit_spec not in table:
+        name, labels = "principal", (2,) * system.rank
+    elif isinstance(orbit_spec, str):
+        name, labels = orbit_spec, BUILTIN_ORBITS.get(system.key, {}).get(orbit_spec)
+        if labels is None:
             raise ValueError(f"unknown orbit {orbit_spec!r} for {system.name}")
-        return orbit_spec, table[orbit_spec]
-    partition = (
-        orbit_spec if isinstance(orbit_spec, Partition) else Partition(tuple(orbit_spec))
-    )
-    labels = partition_labels(system, partition)
-    name = "[%s]" % ",".join(str(p) for p in partition)
-    if not is_even_labels(labels):
-        raise ValueError(f"orbit {name} is not even; no filtration theorem")
-    return name, labels
-
-
-def orbit_data(system: RootSystem, orbit_spec, seed: int = DEFAULT_SEED):
-    """(name, labels, representative) for an orbit specification, as
-    in `orbit_labels`.  The principal orbit takes no path of its own:
-    on the all-2 diagram g_2 is spanned by the simple root vectors, and
-    the first draw, their sum, is `principal_nilpotent`."""
-    name, labels = orbit_labels(system, orbit_spec)
-    algebra = build_chevalley(system)
-    return name, labels, good_position_representative(algebra, labels, seed)
+    else:
+        partition = Partition(orbit_spec)
+        name, labels = str(partition), partition_labels(system, partition)
+        if not is_even_labels(labels):
+            raise ValueError(f"orbit {name} is not even; no filtration theorem")
+    representative = good_position_representative(build_chevalley(system), labels, seed)
+    return Orbit(name, labels, associated_parabolic(system, labels), representative)
 
 
 def verify_theorem(
-    system: RootSystem,
-    mu: Weight,
-    lam: Weight,
-    orbit_spec,
-    seed: int = DEFAULT_SEED,
+    system: RootSystem, mu: Weight, lam: Weight, orbit
 ) -> VerificationReport:
     """Build the module, run the filtration against the q-analog, and
-    attach the certificate for this instance; the system's caps apply."""
-    system.require_same(mu.system, lam.system)
+    attach the certificate for this instance; the system's caps apply.
+    `orbit` is an Orbit from `orbit_data`, or a specification that is
+    resolved here with the default seed; a sweep over one orbit passes
+    the Orbit, so its representative is drawn and found nilpotent once,
+    and another seed is chosen through `orbit_data`."""
+    if not isinstance(orbit, Orbit):
+        orbit = orbit_data(system, orbit)
+    system.require_same(mu.system, lam.system, orbit.parabolic.system)
     _require_dominant(mu)
-    name, labels, rep = orbit_data(system, orbit_spec, seed)
-    parabolic = associated_parabolic(system, labels)
+    parabolic = orbit.parabolic
     module = build_irrep(system, mu)
-    report = bk_jump_polynomial(module, rep, lam, parabolic)
+    report = bk_jump_polynomial(module, orbit.representative, lam, parabolic)
     m_poly = lusztig_q_analog(mu, lam, parabolic)
     cert = vanishing_certificate(lam, parabolic, system)
     equal = report.jump_polynomial == m_poly
     return VerificationReport(
         system_key=system.key,
-        orbit=name,
-        labels=labels,
+        orbit=orbit.name,
+        labels=orbit.labels,
         parabolic=tuple(i + 1 for i in parabolic.key),
         mu=mu.fc,
         lam=lam.fc,

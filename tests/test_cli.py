@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from lieq.cli import main
+from lieq.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -134,7 +135,7 @@ def test_bk_command(capsys):
     code, out, _ = run_cli(
         capsys,
         "bk", "--type", "A", "--rank", "1",
-        "--mu", "2", "--lambda", "0", "--principal",
+        "--mu", "2", "--lambda", "0", "--orbit", "principal",
     )
     assert "r = q" in out
 
@@ -222,6 +223,9 @@ def test_text_and_json_encode_identical_reports(tmp_path, capsys):
          "highest weight (-1, 0, 1) is not dominant"),
         ({"type": "A", "rank": 3, "partition": [4], "mu": [9, 9, 9], "lambda": [0, 0, 0]},
          "dim V(9, 9, 9) = 1000000 exceeds the module cap 500"),
+        ({"type": "A", "rank": 2, "partition": [3], "orbit": "principal", "mu": [1, 1],
+          "lambda": [0, 0]},
+         "gives both 'partition' and 'orbit'"),
     ],
 )
 def test_verify_rejects_malformed_entry(tmp_path, capsys, monkeypatch, entry, message):
@@ -283,6 +287,11 @@ def test_readme_command_line_examples_run(tmp_path, capsys, monkeypatch):
         (["bk", "--type", "B", "--rank", "2", "--mu", "1,0", "--lambda", "0,0",
           "--partition", "3"],
          "partition orbits are a type A construction, not B"),
+        (["orbit", "--type", "A", "--rank", "2", "--partition", ""],
+         "partition parts must be positive"),
+        (["bk", "--type", "A", "--rank", "2", "--mu", "1,1", "--lambda", "0,0",
+          "--partition", ""],
+         "partition parts must be positive"),
     ],
 )
 def test_partition_must_fit_the_system(capsys, argv, message):
@@ -308,8 +317,8 @@ def test_parabolic_nodes_are_named_as_typed(capsys, command, arg, node):
 @pytest.mark.parametrize(
     "argv,flag,text",
     [
-        (["bk", "--mu", "a,b", "--lambda", "0,0", "--principal"], "mu", "a,b"),
-        (["bk", "--mu", "1,1", "--lambda", "0,x", "--principal"], "lambda", "0,x"),
+        (["bk", "--mu", "a,b", "--lambda", "0,0", "--orbit", "principal"], "mu", "a,b"),
+        (["bk", "--mu", "1,1", "--lambda", "0,x", "--orbit", "principal"], "lambda", "0,x"),
         (["cht", "--weight", "1;2"], "weight", "1;2"),
         (["partition", "--gamma", "1,1", "--parabolic", "1.5"], "parabolic", "1.5"),
         (["partition", "--gamma", "1,,q"], "gamma", "1,,q"),
@@ -339,7 +348,7 @@ def test_wrong_rank_names_the_type_and_rank(capsys, type_label, rank, message):
     mu = ",".join(["1"] * rank)
     code, out, err = run_cli(
         capsys, "bk", "--type", type_label, "--rank", str(rank),
-        "--mu", mu, "--lambda", mu, "--principal",
+        "--mu", mu, "--lambda", mu, "--orbit", "principal",
     )
     assert code == 1
     assert out == ""
@@ -347,12 +356,56 @@ def test_wrong_rank_names_the_type_and_rank(capsys, type_label, rank, message):
 
 
 def test_usage_errors(capsys):
-    code, _, err = run_cli(capsys, "bk", "--type", "A", "--rank", "2", "--mu", "1,1", "--lambda", "0,0")
-    assert code == 2
-    assert "need" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["bk", "--type", "A", "--rank", "2", "--mu", "1,1", "--lambda", "0,0"])
+    assert exc.value.code == 2
+    assert "one of the arguments --partition --orbit is required" in capsys.readouterr().err
     code, _, err = run_cli(capsys, "roots", "--type", "G2", "--rank", "3")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--partition", "2,2", "--orbit", "principal"],
+        ["bk", "--mu", "1,0,0", "--lambda", "1,0,0", "--partition", "4", "--orbit", "principal"],
+    ],
+    ids=["orbit", "bk"],
+)
+def test_conflicting_orbit_flags_are_a_usage_error(capsys, argv):
+    # one orbit per run: argparse refuses a second orbit flag rather than
+    # letting one of them win silently
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--type", "A", "--rank", "3", *rest])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --orbit: not allowed with argument --partition" in captured.err
+
+
+def test_subcommand_options_are_pinned():
+    # a new flag must show up here as a deliberate change
+    system = {"-h", "--help", "--type", "--rank", "--json", "--root-coords"}
+    expected = {
+        "roots": system,
+        "qanalog": system | {"--mu", "--lambda", "--parabolic"},
+        "partition": system | {"--gamma", "--parabolic"},
+        "cht": system | {"--weight"},
+        "orbit": system | {"--partition", "--orbit", "--seed"},
+        "bk": system | {"--mu", "--lambda", "--partition", "--orbit", "--seed"},
+        "verify": {"-h", "--help", "--config", "--json", "--seed"},
+    }
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        for name, sub in subparsers.choices.items()
+    }
+    assert options == expected
 
 
 def test_unknown_orbit_name(capsys):

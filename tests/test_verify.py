@@ -21,7 +21,6 @@ from lieq import (
     vanishing_certificate,
     verify_theorem,
 )
-from lieq.orbits import associated_parabolic
 from lieq.verify import orbit_data
 
 from oracles import all_weights, dominant_weights_with_dim_bound
@@ -127,8 +126,10 @@ def test_verify_principal_equals_partition_route():
     theta = A2.weight(A2.highest_root.fc)
     via_partition = verify_theorem(A2, theta, A2.zero_weight(), Partition((3,)))
     via_principal = verify_theorem(A2, theta, A2.zero_weight(), "principal")
+    via_orbit = verify_theorem(A2, theta, A2.zero_weight(), orbit_data(A2, "principal"))
     assert via_partition.r == via_principal.r
     assert via_partition.m == via_principal.m
+    assert via_orbit == via_principal
 
 
 @pytest.mark.parametrize(
@@ -140,9 +141,10 @@ def test_principal_orbit_data_is_the_principal_nilpotent(key):
     # the principal orbit goes through good_position_representative, whose
     # first draw on the all-2 diagram is the sum of the simple root vectors
     system = build_root_system(*key)
-    name, labels, rep = orbit_data(system, "principal")
-    assert (name, labels) == ("principal", (2,) * system.rank)
-    assert rep == principal_nilpotent(build_chevalley(system))
+    orbit = orbit_data(system, "principal")
+    assert (orbit.name, orbit.labels) == ("principal", (2,) * system.rank)
+    assert orbit.parabolic == system.borel()
+    assert orbit.representative == principal_nilpotent(build_chevalley(system))
 
 
 def test_verify_rejects_odd_orbits():
@@ -245,6 +247,9 @@ MIXED_CALLS = {
     "verify mu": lambda: verify_theorem(
         A2, A3.weight((0, 1, 0)), A2.zero_weight(), "principal"
     ),
+    "verify orbit": lambda: verify_theorem(
+        A2, A2.weight((1, 1)), A2.zero_weight(), orbit_data(A3, "principal")
+    ),
     "module": lambda: build_irrep(A2, A3.weight((0, 1, 0))),
 }
 
@@ -280,8 +285,8 @@ def test_r_and_m_agree_at_q_1_uncertified_included():
     instances = uncertified = 0
     for key, spec in R_AT_1_ORBITS:
         system = build_root_system(*key)
-        _, labels, rep = orbit_data(system, spec)
-        parabolic = associated_parabolic(system, labels)
+        orbit = orbit_data(system, spec)
+        parabolic = orbit.parabolic
         for mu in dominant_weights_with_dim_bound(system, 60):
             module = build_irrep(system, mu)
             for lam_fc in dict.fromkeys(module.weights):
@@ -290,7 +295,9 @@ def test_r_and_m_agree_at_q_1_uncertified_included():
                     continue
                 instances += 1
                 uncertified += not vanishing_certificate(lam, parabolic, system).certified
-                r = bk_jump_polynomial(module, rep, lam, parabolic).jump_polynomial
+                r = bk_jump_polynomial(
+                    module, orbit.representative, lam, parabolic
+                ).jump_polynomial
                 m = lusztig_q_analog(mu, lam, parabolic)
                 assert r.evaluate(1) == m.evaluate(1), (key, spec, mu.fc, lam_fc)
     assert (instances, uncertified) == (3176, 1884)

@@ -16,13 +16,7 @@ import warnings
 from .config import DEFAULT_SEED, CapExceeded
 from .height import cht, cht_is_zero_fast, star
 from .irreps import _capped_dimension, bk_jump_polynomial, build_irrep
-from .orbits import (
-    Partition,
-    associated_parabolic,
-    is_even_partition,
-    levi_dimension,
-    partition_labels,
-)
+from .orbits import Partition, associated_parabolic, is_even_partition, partition_labels
 from .qanalog import lusztig_q_analog, q_partition
 from .rootsystem import _DIAGRAMS, build_root_system, weyl_group_order
 from .verify import orbit_data, verify_theorem
@@ -71,6 +65,14 @@ def _add_system_args(parser):
     parser.add_argument("--type", required=True, choices=list(_DIAGRAMS))
     parser.add_argument("--rank", required=True, type=int)
     parser.add_argument("--json", action="store_true")
+
+
+def _add_weight_args(parser, *names):
+    """A required --name for each weight the subcommand reads, and
+    --root-coords, which switches all of them to simple-root
+    coordinates."""
+    for name in names:
+        parser.add_argument(f"--{name}", required=True)
     parser.add_argument("--root-coords", action="store_true",
                         help="read weights in simple-root coordinates")
 
@@ -203,12 +205,12 @@ def cmd_orbit(args):
             {
                 "representative_support": [list(rc) for rc in support],
                 "centralizer_dimension": centralizer,
-                "levi_dimension": levi_dimension(system, parabolic),
+                "levi_dimension": parabolic.levi_dimension,
             }
         )
         lines += [
             f"rep support= {[list(rc) for rc in support]}",
-            f"dim g^X    = {centralizer} (levi {levi_dimension(system, parabolic)})",
+            f"dim g^X    = {centralizer} (levi {parabolic.levi_dimension})",
         ]
     _emit(args, payload, lines)
     return 0
@@ -328,20 +330,19 @@ def build_parser():
 
     p = sub.add_parser("qanalog", help="q-analog of weight multiplicity")
     _add_system_args(p)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--lambda", required=True)
+    _add_weight_args(p, "mu", "lambda")
     p.add_argument("--parabolic", default="")
     p.set_defaults(func=cmd_qanalog)
 
     p = sub.add_parser("partition", help="graded partition count of a weight")
     _add_system_args(p)
-    p.add_argument("--gamma", required=True)
+    _add_weight_args(p, "gamma")
     p.add_argument("--parabolic", default="")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("cht", help="combinatorial height of a weight")
     _add_system_args(p)
-    p.add_argument("--weight", required=True)
+    _add_weight_args(p, "weight")
     p.set_defaults(func=cmd_cht)
 
     p = sub.add_parser("orbit", help="nilpotent orbit data")
@@ -351,8 +352,7 @@ def build_parser():
 
     p = sub.add_parser("bk", help="jump polynomial of the kernel filtration")
     _add_system_args(p)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--lambda", required=True)
+    _add_weight_args(p, "mu", "lambda")
     _add_orbit_args(p)
     p.set_defaults(func=cmd_bk)
 

@@ -47,6 +47,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import sub
+from typing import NamedTuple
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_chevalley
 from .config import CapExceeded
@@ -217,16 +218,12 @@ class ExplicitModule:
         return f"ExplicitModule(dim={self.dim}, highest={fc})"
 
 
-class FiltrationReport:
+class FiltrationReport(NamedTuple):
     """Subspace dimensions of the kernel filtration and its jump
     polynomial."""
 
-    def __init__(self, subspace_dims, jump_polynomial):
-        self.subspace_dims = list(subspace_dims)
-        self.jump_polynomial = jump_polynomial
-
-    def __repr__(self):
-        return f"FiltrationReport(dims={self.subspace_dims}, r={self.jump_polynomial})"
+    subspace_dims: list
+    jump_polynomial: QPolynomial
 
 
 def bk_jump_polynomial(

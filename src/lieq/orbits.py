@@ -136,10 +136,6 @@ def associated_parabolic(system: RootSystem, labels) -> Parabolic:
     return system.parabolic([i for i, v in enumerate(labels) if v == 0])
 
 
-def levi_dimension(system: RootSystem, parabolic: Parabolic) -> int:
-    return system.rank + 2 * len(parabolic.positive_roots)
-
-
 def grade_of_root(root, labels) -> int:
     """Eigenvalue of ad H on the root vector, H the labeled coweight."""
     return sum(l * c for l, c in zip(labels, root.rc))
@@ -159,7 +155,7 @@ def good_position_representative(
     if not is_even_labels(labels):
         raise ValueError(f"diagram {labels} is not even")
     grade2 = [r for r in system.positive_roots if grade_of_root(r, labels) == 2]
-    target = levi_dimension(system, associated_parabolic(system, labels))
+    target = associated_parabolic(system, labels).levi_dimension
     rng = random.Random(seed)
     for draw in range(MAX_DRAWS):
         if draw == 0:

@@ -34,12 +34,7 @@ from .qpoly import QPolynomial
 from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
 
 
-def _nilradical_roots(system: RootSystem, parabolic: Parabolic):
-    inside = {r.rc for r in parabolic.positive_roots}
-    return [r for r in system.positive_roots if r.rc not in inside]
-
-
-def _partition_table(system: RootSystem, parabolic: Parabolic, top) -> tuple:
+def _partition_table(parabolic: Parabolic, top) -> tuple:
     """(strides, cells): the graded partition count of every point of
     the box [0, top] in root coordinates, cell sum(rc * strides) a
     {degree: count} dict for the point rc, or None where it is zero.
@@ -56,7 +51,7 @@ def _partition_table(system: RootSystem, parabolic: Parabolic, top) -> tuple:
         acc *= sizes[i]
     cells: list = [None] * acc
     cells[0] = {0: 1}
-    for root in _nilradical_roots(system, parabolic):
+    for root in parabolic.nilradical:
         offset = sum(map(mul, root.rc, strides))
         above = itertools.product(
             *(range(r * st, s * st, st) for r, s, st in zip(root.rc, sizes, strides))
@@ -82,7 +77,7 @@ def _partitions(system: RootSystem, parabolic: Parabolic, points) -> list:
     missing = [rc for rc in points if (key, rc) not in cache]
     if missing:
         top = tuple(map(max, zip(*missing)))
-        strides, cells = _partition_table(system, parabolic, top)
+        strides, cells = _partition_table(parabolic, top)
         for rc in missing:
             cache[(key, rc)] = QPolynomial(cells[sum(map(mul, rc, strides))])
     return [cache[(key, rc)] for rc in points]

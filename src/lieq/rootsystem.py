@@ -283,48 +283,34 @@ class WeylElement:
 
 
 class Parabolic:
-    """Standard parabolic subset, given by 0-based simple-root indices."""
+    """The standard parabolic of a set of Levi nodes, its root data
+    decided once: `positive_roots`, the Levi's positive roots (those
+    supported on the nodes), `nilradical`, the other positive roots,
+    both in the system's order, `rho_doubled`, 2 rho_P, the sum of the
+    Levi's positive roots, and `levi_dimension`, rank + 2 |Phi_L^+|.
+    Made only by `RootSystem.parabolic`, which checks the nodes and keeps
+    one per node set, so two equal parabolics are one object."""
 
-    def __init__(self, system: "RootSystem", indices):
+    def __init__(self, system: "RootSystem", key: tuple):
         self.system = system
-        self.indices = frozenset(_integers(indices, "simple-root index"))
-        for i in self.indices:
-            if not 0 <= i < system.rank:
-                raise ValueError(f"simple-root index {i} out of range")
-        self.key = tuple(sorted(self.indices))
-
-    @property
-    def positive_roots(self) -> list:
-        """Positive roots supported on the chosen simple roots."""
-        return [
-            r
-            for r in self.system.positive_roots
-            if all(c == 0 or i in self.indices for i, c in enumerate(r.rc))
-        ]
-
-    @property
-    def rho_doubled(self) -> Weight:
-        """2*rho_P, the sum of the parabolic's positive roots."""
-        fc = [0] * self.system.rank
-        for r in self.positive_roots:
-            fc = [a + b for a, b in zip(fc, r.fc)]
-        return Weight(self.system, fc)
+        self.key = key      # the 0-based Levi nodes, sorted
+        self.indices = frozenset(key)
+        levi, nilradical = [], []
+        for r in system.positive_roots:
+            inside = all(c == 0 or i in self.indices for i, c in enumerate(r.rc))
+            (levi if inside else nilradical).append(r)
+        self.positive_roots = tuple(levi)
+        self.nilradical = tuple(nilradical)
+        self.rho_doubled = Weight(
+            system, [sum(r.fc[j] for r in levi) for j in range(system.rank)]
+        )
+        self.levi_dimension = system.rank + 2 * len(levi)
 
     def is_dominant(self, weight: Weight) -> bool:
         return all(weight.fc[i] >= 0 for i in self.indices)
 
     def is_regular_dominant(self, weight: Weight) -> bool:
         return all(weight.fc[i] > 0 for i in self.indices)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Parabolic)
-            and self.system is other.system
-            and self.indices == other.indices
-        )
-
-    def __hash__(self):
-        return hash((self.system.key, self.key))
 
     def __repr__(self):
         inside = ",".join(str(i + 1) for i in self.key)
@@ -368,6 +354,7 @@ class RootSystem:
         self._root_by_rc = {r.rc: r for r in self.positive_roots}
         self._weyl_group = None
         self._simple_refs: list = []
+        self._parabolics: dict = {}         # Levi node key -> Parabolic
         self.rho = Weight(self, [1] * rank)
         # filled on first use by chevalley, irreps, qanalog and height
         self._algebra = None
@@ -447,11 +434,18 @@ class RootSystem:
     def zero_weight(self) -> Weight:
         return Weight(self, [0] * self.rank)
 
+    def _nodes(self, indices) -> tuple:
+        """indices as ints, each checked to be a 0-based simple-root
+        index: ValueError naming the first that is not."""
+        nodes = _integers(indices, "simple-root index")
+        for i in nodes:
+            if not 0 <= i < self.rank:
+                raise ValueError(f"simple-root index {i} out of range")
+        return nodes
+
     def fundamental_weight(self, i: int) -> Weight:
         """omega_i, for a 0-based simple-root index i."""
-        (i,) = _integers((i,), "simple-root index")
-        if not 0 <= i < self.rank:
-            raise ValueError(f"simple-root index {i} out of range")
+        (i,) = self._nodes((i,))
         return Weight(self, [1 if j == i else 0 for j in range(self.rank)])
 
     def lattice_coords(self, fc):
@@ -573,10 +567,17 @@ class RootSystem:
         return self._weyl_group
 
     def parabolic(self, indices) -> Parabolic:
-        return Parabolic(self, indices)
+        """The system's one Parabolic with these 0-based Levi nodes, in
+        any order or repetition; the nodes are checked before anything
+        is kept."""
+        key = tuple(sorted(set(self._nodes(indices))))
+        parabolic = self._parabolics.get(key)
+        if parabolic is None:
+            parabolic = self._parabolics[key] = Parabolic(self, key)
+        return parabolic
 
     def borel(self) -> Parabolic:
-        return Parabolic(self, ())
+        return self.parabolic(())
 
     # -- actions --------------------------------------------------------
 

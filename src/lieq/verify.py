@@ -13,7 +13,6 @@ without a certificate are reported but never asserted equal.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import NamedTuple
 
 from .chevalley import build_chevalley
@@ -33,27 +32,12 @@ from .qanalog import lusztig_q_analog
 from .qpoly import QPolynomial
 from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
 
-CERTIFICATE_ORDER = (
-    "PCharacter",
-    "BorelDominant",
-    "MinimalParabolicDominant",
-    "MuMinusTwoRhoP",
-    "TypeARegularDominant",
-    "ChtZeroBorel",
-    "Unknown",
-)
 
+class VanishingCertificate(NamedTuple):
+    """The name of the first proven sufficient condition for the
+    vanishing that applies, or "Unknown"; a read-only value."""
 
-class VanishingCertificate(namedtuple("VanishingCertificate", "verdict detail")):
-    """A verdict from CERTIFICATE_ORDER and its reason, a read-only
-    value."""
-
-    __slots__ = ()
-
-    def __new__(cls, verdict, detail):
-        if verdict not in CERTIFICATE_ORDER:
-            raise ValueError(f"unknown verdict {verdict}")
-        return super().__new__(cls, verdict, detail)
+    verdict: str
 
     @property
     def certified(self) -> bool:
@@ -64,33 +48,24 @@ def vanishing_certificate(
     lam: Weight, parabolic: Parabolic, system: RootSystem
 ) -> VanishingCertificate:
     """First applicable sufficient condition, checked in a fixed order."""
+    system.require_same(lam.system, parabolic.system)
     dominant = lam.is_dominant()
     if dominant and all(lam.fc[i] == 0 for i in parabolic.indices):
-        return VanishingCertificate(
-            "PCharacter", "weight is dominant and trivial on the Levi nodes"
-        )
+        return VanishingCertificate("PCharacter")
     if not parabolic.indices:
         if dominant:
-            return VanishingCertificate("BorelDominant", "Borel case, dominant weight")
+            return VanishingCertificate("BorelDominant")
         if cht_is_zero_fast(lam):
-            return VanishingCertificate(
-                "ChtZeroBorel", "Borel case, combinatorial height 0"
-            )
+            return VanishingCertificate("ChtZeroBorel")
     if len(parabolic.indices) == 1 and dominant:
-        return VanishingCertificate(
-            "MinimalParabolicDominant", "minimal parabolic, dominant weight"
-        )
+        return VanishingCertificate("MinimalParabolicDominant")
+    # lam + 2 rho_P is dominant and regular on the Levi nodes
     shifted = lam + parabolic.rho_doubled
     if shifted.is_dominant() and parabolic.is_regular_dominant(shifted):
-        return VanishingCertificate(
-            "MuMinusTwoRhoP",
-            "weight + 2 rho_P is dominant and Levi-regular",
-        )
+        return VanishingCertificate("MuMinusTwoRhoP")
     if system.type_label == "A" and dominant and system.is_regular(lam):
-        return VanishingCertificate(
-            "TypeARegularDominant", "type A, regular dominant weight"
-        )
-    return VanishingCertificate("Unknown", "no proven vanishing condition applies")
+        return VanishingCertificate("TypeARegularDominant")
+    return VanishingCertificate("Unknown")
 
 
 class VerificationReport(NamedTuple):
@@ -105,9 +80,16 @@ class VerificationReport(NamedTuple):
     lam: tuple
     r: QPolynomial
     m: QPolynomial
-    equal: bool
     certificate: VanishingCertificate
-    lhi_dimension: int
+
+    @property
+    def equal(self) -> bool:
+        return self.r == self.m
+
+    @property
+    def lhi_dimension(self) -> int:
+        """The dimension of the Levi-highest space, r(1)."""
+        return self.r.evaluate(1)
 
     def to_json(self) -> dict:
         return {
@@ -169,8 +151,6 @@ def verify_theorem(
     module = build_irrep(system, mu)
     report = bk_jump_polynomial(module, orbit.representative, lam, parabolic)
     m_poly = lusztig_q_analog(mu, lam, parabolic)
-    cert = vanishing_certificate(lam, parabolic, system)
-    equal = report.jump_polynomial == m_poly
     return VerificationReport(
         system_key=system.key,
         orbit=orbit.name,
@@ -180,7 +160,5 @@ def verify_theorem(
         lam=lam.fc,
         r=report.jump_polynomial,
         m=m_poly,
-        equal=equal,
-        certificate=cert,
-        lhi_dimension=report.jump_polynomial.evaluate(1),
+        certificate=vanishing_certificate(lam, parabolic, system),
     )

@@ -31,7 +31,7 @@ from lieq import (
     verify_theorem,
     weighted_dynkin,
 )
-from lieq.orbits import associated_parabolic, levi_dimension
+from lieq.orbits import associated_parabolic
 from lieq.qanalog import dominant_multiplicities
 from lieq.verify import orbit_data, vanishing_certificate
 
@@ -401,7 +401,7 @@ def test_criterion_8_orbit_data():
                 continue
             labels = weighted_dynkin(partition)
             rep = good_position_representative(algebra, labels)
-            expected = levi_dimension(system, associated_parabolic(system, labels))
+            expected = associated_parabolic(system, labels).levi_dimension
             if algebra.centralizer_dimension(rep) != expected:
                 failures.append(("richardson", partition.parts))
     g2 = build_root_system("G2", 2)
@@ -410,9 +410,7 @@ def test_criterion_8_orbit_data():
 
     labels = BUILTIN_ORBITS[("G2", 2)]["subregular"]
     rep = good_position_representative(gg, labels)
-    if gg.centralizer_dimension(rep) != levi_dimension(
-        g2, associated_parabolic(g2, labels)
-    ):
+    if gg.centralizer_dimension(rep) != associated_parabolic(g2, labels).levi_dimension:
         failures.append("G2 subregular richardson")
     report(
         8,

@@ -387,14 +387,15 @@ def test_conflicting_orbit_flags_are_a_usage_error(capsys, argv):
 
 def test_subcommand_options_are_pinned():
     # a new flag must show up here as a deliberate change
-    system = {"-h", "--help", "--type", "--rank", "--json", "--root-coords"}
+    system = {"-h", "--help", "--type", "--rank", "--json"}
+    weights = system | {"--root-coords"}
     expected = {
         "roots": system,
-        "qanalog": system | {"--mu", "--lambda", "--parabolic"},
-        "partition": system | {"--gamma", "--parabolic"},
-        "cht": system | {"--weight"},
+        "qanalog": weights | {"--mu", "--lambda", "--parabolic"},
+        "partition": weights | {"--gamma", "--parabolic"},
+        "cht": weights | {"--weight"},
         "orbit": system | {"--partition", "--orbit", "--seed"},
-        "bk": system | {"--mu", "--lambda", "--partition", "--orbit", "--seed"},
+        "bk": weights | {"--mu", "--lambda", "--partition", "--orbit", "--seed"},
         "verify": {"-h", "--help", "--config", "--json", "--seed"},
     }
     (subparsers,) = [
@@ -406,6 +407,23 @@ def test_subcommand_options_are_pinned():
         for name, sub in subparsers.choices.items()
     }
     assert options == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["roots"], ["orbit", "--partition", "3,1"]],
+    ids=["roots", "orbit"],
+)
+def test_root_coords_is_a_usage_error_where_no_weight_is_read(capsys, argv):
+    # --root-coords only changes how a weight is read, so a subcommand
+    # that reads none refuses it rather than ignoring it
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--type", "A", "--rank", "3", *rest, "--root-coords"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --root-coords" in captured.err
 
 
 def test_unknown_orbit_name(capsys):

@@ -16,7 +16,7 @@ from lieq import (
     weighted_dynkin,
 )
 from lieq.linalg import rank_of_sparse
-from lieq.orbits import MAX_DRAWS, grade_of_root, levi_dimension
+from lieq.orbits import MAX_DRAWS, grade_of_root
 
 from oracles import jordan_type_of_nilpotent_matrix, operator_columns
 
@@ -110,7 +110,7 @@ def test_the_handmade_good_position_element_is_accepted():
     g = build_chevalley(A3)
     z = g.x(A3._root_by_rc[(1, 0, 0)]) + g.x(A3._root_by_rc[(0, 1, 1)])
     assert g.centralizer_dimension(z) == 5
-    assert levi_dimension(A3, associated_parabolic(A3, (2, 0, 2))) == 5
+    assert associated_parabolic(A3, (2, 0, 2)).levi_dimension == 5
 
 
 def test_grade2_support_of_representatives():
@@ -151,7 +151,7 @@ def test_richardson_dimension_for_even_partitions(n):
         parabolic = associated_parabolic(system, labels)
         if is_even_partition(p):
             rep = good_position_representative(g, labels)
-            levi = levi_dimension(system, parabolic)
+            levi = parabolic.levi_dimension
             assert g.centralizer_dimension(rep) == levi
             # orbit codimension counts the nilradical twice
             nilradical = len(system.positive_roots) - len(parabolic.positive_roots)

@@ -48,7 +48,7 @@ from lieq import (
     weyl_dimension,
 )
 from lieq.linalg import eliminate, rank_of_sparse, sparse_echelon, sparse_nullspace
-from lieq.qanalog import _nilradical_roots, _partition_table
+from lieq.qanalog import _partition_table
 from lieq.rootsystem import RootSystem
 from oracles import (
     eliminate_dividing,
@@ -132,8 +132,8 @@ def partition_box(draw):
 @given(partition_box())
 def test_every_cell_of_a_partition_table_is_the_multiset_count(box):
     system, parabolic, top = box
-    roots = _nilradical_roots(system, parabolic)
-    strides, cells = _partition_table(system, parabolic, top)
+    roots = parabolic.nilradical
+    strides, cells = _partition_table(parabolic, top)
     for rc in itertools.product(*(range(t + 1) for t in top)):
         cell = QPolynomial(cells[sum(map(operator.mul, rc, strides))])
         assert cell == partition_poly_oracle(system, system.weight(rc, "root"), roots)

@@ -17,7 +17,6 @@ from lieq import (
     weyl_dimension,
 )
 from lieq import qanalog
-from lieq.qanalog import _nilradical_roots
 from lieq.rootsystem import RootSystem
 
 from oracles import (
@@ -62,7 +61,7 @@ def test_q_partition_reference_values_a3():
     assert q_partition(r1mu, P) == poly({2: 1})
     assert q_partition(r2mu, P) == poly({3: 1})
     for gamma in (mu, r1mu, r2mu):
-        oracle = partition_poly_oracle(A3, gamma, _nilradical_roots(A3, P))
+        oracle = partition_poly_oracle(A3, gamma, P.nilradical)
         assert q_partition(gamma, P) == oracle
 
 
@@ -97,7 +96,7 @@ def test_q_partition_matches_bruteforce_oracle(key):
         rc = [rng.randint(0, 3) for _ in range(system.rank)]
         gamma = system.weight(rc, basis="root")
         for P in parabolics:
-            roots = _nilradical_roots(system, P or system.borel())
+            roots = (P or system.borel()).nilradical
             assert q_partition(gamma, P) == partition_poly_oracle(system, gamma, roots)
 
 
@@ -439,9 +438,9 @@ def test_a_q_analog_fills_one_table_and_caches_only_its_walk(key, monkeypatch):
     fills = []
     real = qanalog._partition_table
 
-    def counting(system, parabolic, top):
+    def counting(parabolic, top):
         fills.append(top)
-        return real(system, parabolic, top)
+        return real(parabolic, top)
 
     monkeypatch.setattr(qanalog, "_partition_table", counting)
     system = fresh_system(*key)

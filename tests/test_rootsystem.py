@@ -10,7 +10,8 @@ from math import factorial
 import pytest
 
 from lieq import (
-    CapExceeded, Caps, Partition, build_chevalley, build_root_system, weyl_dimension,
+    CapExceeded, Caps, Partition, RootSystem, build_chevalley, build_root_system,
+    weyl_dimension,
 )
 from lieq.rootsystem import _DIAGRAMS, weyl_group_order
 
@@ -377,6 +378,55 @@ def test_parabolic_data():
     assert [r.rc for r in P.positive_roots] == [(0, 1, 0)]
     full = A3.parabolic([0, 1, 2])
     assert full.rho_doubled == 2 * A3.rho
+
+
+@pytest.mark.parametrize(
+    "key", list(ROOT_DIGESTS), ids=lambda k: k[0] if k[0] in ("G2", "F4") else f"{k[0]}{k[1]}"
+)
+def test_parabolic_root_data_on_every_levi(key):
+    system = build_root_system(*key)
+    n = system.rank
+    roots = list(system.positive_roots)
+    for nodes in itertools.chain.from_iterable(
+        itertools.combinations(range(n), k) for k in range(n + 1)
+    ):
+        P = system.parabolic(nodes)
+        levi, nilradical = list(P.positive_roots), list(P.nilradical)
+        # the two parts split the positive roots, each in the system's order
+        assert sorted(levi + nilradical, key=lambda r: r.index) == roots
+        assert levi == sorted(levi, key=lambda r: r.index)
+        assert nilradical == sorted(nilradical, key=lambda r: r.index)
+        assert levi == [
+            r for r in roots if all(i in nodes for i, c in enumerate(r.rc) if c)
+        ]
+        # 2 rho_P pairs to 2 with every simple coroot of the Levi
+        assert all(P.rho_doubled.fc[i] == 2 for i in nodes)
+        assert P.levi_dimension == n + 2 * len(levi)
+
+
+def test_each_node_set_has_one_parabolic():
+    A3 = build_root_system("A", 3)
+    P = A3.parabolic([0, 2])
+    for spelling in ([2, 0], (0, 2), {0, 2}, frozenset({2, 0}), [2, 0, 2, 0], range(0, 3, 2)):
+        assert A3.parabolic(spelling) is P
+    assert A3.borel() is A3.parabolic(()) is A3.parabolic([])
+    assert A3.parabolic([1]) is not P
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (0.5, "simple-root index 0.5 is not an integer"),
+        (-1, "simple-root index -1 out of range"),
+        (3, "simple-root index 3 out of range"),
+    ],
+    ids=["fractional", "negative", "rank"],
+)
+def test_bad_parabolic_node_is_refused_before_anything_is_kept(bad, message):
+    system = RootSystem("A", 3, Caps())  # its own, so nothing is kept yet
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        system.parabolic([1, bad])
+    assert system._parabolics == {}
 
 
 @pytest.mark.parametrize(

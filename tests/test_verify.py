@@ -251,6 +251,12 @@ MIXED_CALLS = {
         A2, A2.weight((1, 1)), A2.zero_weight(), orbit_data(A3, "principal")
     ),
     "module": lambda: build_irrep(A2, A3.weight((0, 1, 0))),
+    "certificate parabolic": lambda: vanishing_certificate(
+        A2.weight((1, 1)), A3.parabolic([2]), A2
+    ),
+    "certificate system": lambda: vanishing_certificate(
+        A3.weight((1, 0, 1)), A3.parabolic([0, 1]), A2
+    ),
 }
 
 

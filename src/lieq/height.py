@@ -80,7 +80,7 @@ def star(lam: Weight) -> Weight:
             i = 0
         else:
             i += 1
-    return Weight(system, fc)
+    return Weight._trusted(system, tuple(fc))
 
 
 def _layout(system: RootSystem, top, lo_fc):

@@ -29,9 +29,15 @@ import itertools
 import warnings
 from operator import add, mul
 
+from .config import CapExceeded
 from .height import dominant_interval
 from .qpoly import QPolynomial
 from .rootsystem import Parabolic, RootSystem, Weight, _require_dominant
+
+# the most cells one partition table may hold, checked before the table
+# is allocated.  The test suite and the benchmark fill at most 360; a
+# full G2 table of 25,000 cells takes about 0.7 s and 140 MB.
+_TABLE_CELL_LIMIT = 25_000
 
 
 def _partition_table(parabolic: Parabolic, top) -> tuple:
@@ -42,13 +48,18 @@ def _partition_table(parabolic: Parabolic, top) -> tuple:
     One dense DP over the box with a pass per root outside the Levi.  A
     root's pass walks, by strides, only the cells at or above the root,
     in increasing index order, so each cell already counts the root's
-    uses below it."""
+    uses below it.  CapExceeded, before anything is allocated, when the
+    box has more than `_TABLE_CELL_LIMIT` cells."""
     sizes = [c + 1 for c in top]
     strides = [0] * len(sizes)
     acc = 1
     for i in range(len(sizes) - 1, -1, -1):
         strides[i] = acc
         acc *= sizes[i]
+    if acc > _TABLE_CELL_LIMIT:
+        raise CapExceeded(
+            f"a partition table of {acc} cells exceeds the limit of {_TABLE_CELL_LIMIT}"
+        )
     cells: list = [None] * acc
     cells[0] = {0: 1}
     for root in parabolic.nilradical:
@@ -213,7 +224,9 @@ def _multiplicity_table(system: RootSystem, mu_fc) -> dict:
     # (beta, beta^vee, h, {nu: T(nu)}) per positive root
     strings = [(r.fc, r.coroot_fc, system.den * r.norm_sq, {}) for r in system.positive_roots]
     lowest = [-a for a in dominant([-a for a in mu_fc])]
-    depths = dominant_interval(system, Weight(system, lowest), Weight(system, mu_fc))
+    depths = dominant_interval(
+        system, Weight._trusted(system, tuple(lowest)), Weight._trusted(system, mu_fc)
+    )
     table: dict = {mu_fc: 1}
     mult: dict = {}  # nu -> m(nu), read through nu's dominant conjugate
     # mu alone has depth 0

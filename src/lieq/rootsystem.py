@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import factorial, lcm
-from operator import index, mul
+from operator import add, index, mul, neg, sub
 from typing import Callable, NamedTuple
 
 from .config import CapExceeded, Caps, caps_from_env
@@ -151,8 +151,11 @@ class Root:
 def _integers(values, what: str) -> tuple:
     """values as a tuple of ints, each read with `operator.index`, so a
     float or Fraction raises ValueError naming it instead of being
-    truncated."""
-    values = tuple(values)
+    truncated.  A list or tuple is read in place; any other iterable is
+    copied first, so that a bad value can still be named after the
+    read."""
+    if not isinstance(values, (tuple, list)):
+        values = tuple(values)
     try:
         return tuple(map(index, values))
     except TypeError:
@@ -161,15 +164,30 @@ def _integers(values, what: str) -> tuple:
 
 
 class Weight:
-    """Integer weight in fundamental coordinates, bound to its system."""
+    """Integer weight in fundamental coordinates, bound to its system.
+
+    `Weight(system, fc)` reads every coordinate with `operator.index`
+    and checks the length.  The weights the library derives from ones
+    it already holds (sums, differences, multiples, reflections, star)
+    are made by `_trusted`, which reads nothing again."""
 
     __slots__ = ("system", "fc")
 
     def __init__(self, system: "RootSystem", fc):
-        self.system = system
-        self.fc = _integers(fc, "coordinate")
-        if len(self.fc) != system.rank:
+        fc = _integers(fc, "coordinate")
+        if len(fc) != system.rank:
             raise ValueError("coordinate length does not match rank")
+        self.system = system
+        self.fc = fc
+
+    @staticmethod
+    def _trusted(system: "RootSystem", fc: tuple) -> "Weight":
+        """The weight of fc, which must already be a tuple of system.rank
+        ints."""
+        weight = object.__new__(Weight)
+        weight.system = system
+        weight.fc = fc
+        return weight
 
     def __eq__(self, other):
         return (
@@ -182,18 +200,26 @@ class Weight:
         return hash((self.system.key, self.fc))
 
     def __add__(self, other):
+        if not isinstance(other, Weight):
+            return NotImplemented
         self.system.require_same(other.system)
-        return Weight(self.system, [a + b for a, b in zip(self.fc, other.fc)])
+        return Weight._trusted(self.system, tuple(map(add, self.fc, other.fc)))
 
     def __sub__(self, other):
+        if not isinstance(other, Weight):
+            return NotImplemented
         self.system.require_same(other.system)
-        return Weight(self.system, [a - b for a, b in zip(self.fc, other.fc)])
+        return Weight._trusted(self.system, tuple(map(sub, self.fc, other.fc)))
 
     def __neg__(self):
-        return Weight(self.system, [-a for a in self.fc])
+        return Weight._trusted(self.system, tuple(map(neg, self.fc)))
 
     def __mul__(self, k: int):
-        return Weight(self.system, [k * a for a in self.fc])
+        try:
+            k = index(k)
+        except TypeError:
+            raise ValueError(f"scalar {k!r} is not an integer") from None
+        return Weight._trusted(self.system, tuple([k * a for a in self.fc]))
 
     __rmul__ = __mul__
 
@@ -237,7 +263,8 @@ class WeylElement:
         return tuple(sum(row[c] * fc[c] for c in range(len(fc))) for row in self.matrix)
 
     def apply(self, weight: Weight) -> Weight:
-        return Weight(self.system, self.apply_fc(weight.fc))
+        self.system.require_same(weight.system)
+        return Weight._trusted(self.system, self.apply_fc(weight.fc))
 
     @property
     def length(self) -> int:
@@ -301,15 +328,17 @@ class Parabolic:
             (levi if inside else nilradical).append(r)
         self.positive_roots = tuple(levi)
         self.nilradical = tuple(nilradical)
-        self.rho_doubled = Weight(
-            system, [sum(r.fc[j] for r in levi) for j in range(system.rank)]
+        self.rho_doubled = Weight._trusted(
+            system, tuple(sum(r.fc[j] for r in levi) for j in range(system.rank))
         )
         self.levi_dimension = system.rank + 2 * len(levi)
 
     def is_dominant(self, weight: Weight) -> bool:
+        self.system.require_same(weight.system)
         return all(weight.fc[i] >= 0 for i in self.indices)
 
     def is_regular_dominant(self, weight: Weight) -> bool:
+        self.system.require_same(weight.system)
         return all(weight.fc[i] > 0 for i in self.indices)
 
     def __repr__(self):
@@ -355,7 +384,7 @@ class RootSystem:
         self._weyl_group = None
         self._simple_refs: list = []
         self._parabolics: dict = {}         # Levi node key -> Parabolic
-        self.rho = Weight(self, [1] * rank)
+        self.rho = Weight._trusted(self, (1,) * rank)
         # filled on first use by chevalley, irreps, qanalog and height
         self._algebra = None
         self._irreps: dict = {}             # mu fc -> ExplicitModule
@@ -428,11 +457,11 @@ class RootSystem:
             rc = _integers(coords, "coordinate")
             if len(rc) != self.rank:
                 raise ValueError("coordinate length does not match rank")
-            return Weight(self, self._fc_of_rc(rc))
+            return Weight._trusted(self, self._fc_of_rc(rc))
         raise ValueError("basis must be 'fundamental' or 'root'")
 
     def zero_weight(self) -> Weight:
-        return Weight(self, [0] * self.rank)
+        return Weight._trusted(self, (0,) * self.rank)
 
     def _nodes(self, indices) -> tuple:
         """indices as ints, each checked to be a 0-based simple-root
@@ -446,7 +475,7 @@ class RootSystem:
     def fundamental_weight(self, i: int) -> Weight:
         """omega_i, for a 0-based simple-root index i."""
         (i,) = self._nodes((i,))
-        return Weight(self, [1 if j == i else 0 for j in range(self.rank)])
+        return Weight._trusted(self, tuple(int(j == i) for j in range(self.rank)))
 
     def lattice_coords(self, fc):
         """Simple-root coordinates of fc as ints, or None when fc is off
@@ -497,13 +526,15 @@ class RootSystem:
 
     def pair(self, weight: Weight, root: Root) -> int:
         """Coroot pairing <weight, root^vee>."""
-        return sum(k * x for k, x in zip(root.coroot_fc, weight.fc))
+        return sum(map(mul, root.coroot_fc, weight.fc))
 
     def is_regular(self, weight: Weight) -> bool:
+        self.require_same(weight.system)
         return all(self.pair(weight, r) != 0 for r in self.positive_roots)
 
     def height_of(self, weight: Weight) -> int:
         """Sum of root coordinates; weight must be in the root lattice."""
+        self.require_same(weight.system)
         rc = self.lattice_coords(weight.fc)
         if rc is None:
             raise ValueError("weight is not in the root lattice")
@@ -512,7 +543,7 @@ class RootSystem:
     def dominance_leq(self, a: Weight, b: Weight) -> bool:
         """True iff b - a is a nonnegative integer sum of simple roots."""
         self.require_same(a.system, b.system)
-        rc = self.lattice_coords([y - x for x, y in zip(a.fc, b.fc)])
+        rc = self.lattice_coords(tuple(map(sub, b.fc, a.fc)))
         return rc is not None and all(x >= 0 for x in rc)
 
     # -- Weyl group ----------------------------------------------------
@@ -608,9 +639,10 @@ class RootSystem:
 
     def shifted_action(self, w: WeylElement, weight: Weight) -> Weight:
         """Affine action w(weight + rho) - rho."""
+        self.require_same(w.system, weight.system)
         shifted = [a + 1 for a in weight.fc]
         moved = w.apply_fc(shifted)
-        return Weight(self, [a - 1 for a in moved])
+        return Weight._trusted(self, tuple([a - 1 for a in moved]))
 
     def __repr__(self):
         return f"RootSystem({self.name})"

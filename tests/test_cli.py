@@ -426,6 +426,18 @@ def test_root_coords_is_a_usage_error_where_no_weight_is_read(capsys, argv):
     assert "unrecognized arguments: --root-coords" in captured.err
 
 
+def test_oversized_partition_table_is_refused_in_one_line(capsys):
+    # the table was allocated from the box alone and ended in MemoryError
+    code, out, err = run_cli(
+        capsys, "partition", "--type", "A", "--rank", "2", "--gamma", "99999999,0"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: a partition table of 2222222277777778 cells exceeds the limit of 25000"
+    ]
+
+
 def test_unknown_orbit_name(capsys):
     code, _, err = run_cli(
         capsys, "orbit", "--type", "G2", "--rank", "2", "--orbit", "nope"

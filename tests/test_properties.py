@@ -11,7 +11,11 @@ Levi's own, from the independent oracle of `levi_q_analog_oracle`.
 Property tests over weights in a small box: the rules
 that the dominant conjugate, star and the combinatorial height cht obey
 along roots and under simple reflections, the norm bound on cht, and
-the direct predicate for cht = 0.  Property tests over small random
+the direct predicate for cht = 0.  On every system the default caps
+allow, every weight the library derives (sums, multiples,
+reflections, star, rho and its parabolic halves, the zero and
+fundamental weights) is the weight the checking constructor makes of
+its coordinates.  Property tests over small random
 sparse matrices: the one elimination's ranks, kernels and tails against
 a plain Gauss-Jordan over Fraction, and its (row, tail) against a
 reduction that divides out their content after every step, which the
@@ -19,6 +23,7 @@ one elimination leaves to the rows it keeps.  Examples are
 derandomized and no example database is kept, so every run checks the
 same cases."""
 
+import functools
 import itertools
 import math
 import operator
@@ -49,7 +54,7 @@ from lieq import (
 )
 from lieq.linalg import eliminate, rank_of_sparse, sparse_echelon, sparse_nullspace
 from lieq.qanalog import _partition_table
-from lieq.rootsystem import RootSystem
+from lieq.rootsystem import _DIAGRAMS, RootSystem, WeylElement
 from oracles import (
     eliminate_dividing,
     filtration_oracle,
@@ -325,6 +330,58 @@ def test_cht_norm_bound(lam):
 @given(box_weight())
 def test_cht_zero_agrees_with_the_fast_predicate(lam):
     assert (cht(lam) == 0) == cht_is_zero_fast(lam)
+
+
+# every (type, rank) the default caps allow
+DEFAULT_CAP_SYSTEMS = [
+    (label, rank)
+    for label, row in _DIAGRAMS.items()
+    for rank in range(row.least_rank, (row.least_rank if row.fixed_rank else Caps().rank) + 1)
+]
+
+
+def assert_checked(system, weight):
+    """weight is what `system.weight` makes of its coordinates: a tuple
+    of rank ints, bound to system."""
+    assert weight.system is system
+    assert type(weight.fc) is tuple and len(weight.fc) == system.rank
+    assert all(type(x) is int for x in weight.fc)
+    assert weight == system.weight(weight.fc)
+
+
+def system_id(key):
+    return key[0] if key[0] in ("G2", "F4") else f"{key[0]}{key[1]}"
+
+
+@pytest.mark.parametrize("key", DEFAULT_CAP_SYSTEMS, ids=system_id)
+def test_weights_of_the_system_are_checked_weights(key):
+    system = build_root_system(*key)
+    rank = system.rank
+    derived = [system.rho, system.zero_weight()]
+    derived += [system.fundamental_weight(i) for i in range(rank)]
+    derived.append(system.weight(range(1, rank + 1), "root"))
+    for size in range(rank + 1):
+        for nodes in itertools.combinations(range(rank), size):
+            derived.append(system.parabolic(nodes).rho_doubled)
+    for weight in derived:
+        assert_checked(system, weight)
+
+
+@pytest.mark.parametrize("key", DEFAULT_CAP_SYSTEMS, ids=system_id)
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(data=st.data())
+def test_derived_weights_are_checked_weights(key, data):
+    system = build_root_system(*key)
+    coords = st.lists(st.integers(-3, 3), min_size=system.rank, max_size=system.rank)
+    a, b = system.weight(data.draw(coords)), system.weight(data.draw(coords))
+    k = data.draw(st.integers(-3, 3))
+    reflections = [system.simple_reflection(i) for i in range(system.rank)]
+    coxeter = functools.reduce(WeylElement.compose, reflections)
+    derived = [a + b, a - b, -a, k * a, a * k, star(a)]
+    for w in [*reflections, coxeter]:
+        derived += [w.apply(a), system.shifted_action(w, a)]
+    for weight in derived:
+        assert_checked(system, weight)
 
 
 @st.composite

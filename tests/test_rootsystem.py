@@ -190,6 +190,12 @@ MIXED_CALLS = {
     "norm_sq": lambda: A2.norm_sq(B2.rho),
     "dominance_leq": lambda: A2.dominance_leq(B2.zero_weight(), B2.rho),
     "dominance_leq of one foreign weight": lambda: A2.dominance_leq(A2.zero_weight(), B2.rho),
+    "parabolic is_dominant": lambda: A2.parabolic([1]).is_dominant(B2.rho),
+    "parabolic is_regular_dominant": lambda: A2.parabolic([1]).is_regular_dominant(B2.rho),
+    "is_regular": lambda: A2.is_regular(B2.rho),
+    "height_of": lambda: A2.height_of(B2.rho),
+    "weyl element apply": lambda: A2.simple_reflection(0).apply(B2.rho),
+    "shifted_action": lambda: A2.shifted_action(A2.simple_reflection(0), B2.rho),
 }
 
 
@@ -197,6 +203,35 @@ MIXED_CALLS = {
 def test_weights_of_another_system_are_refused(call):
     with pytest.raises(ValueError, match="cannot combine objects of A2 and B2"):
         call()
+
+
+def test_a_foreign_weight_of_another_rank_is_refused_not_indexed():
+    # an A2 weight read by an A3 parabolic raised IndexError
+    A3 = build_root_system("A", 3)
+    with pytest.raises(ValueError, match="cannot combine objects of A3 and A2"):
+        A3.parabolic([2]).is_dominant(A2.weight((1, -1)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda w: w + 1, lambda w: w - 1, lambda w: 1 + w, lambda w: 1 - w,
+     lambda w: w + (1, 0), lambda w: w - (1, 0)],
+    ids=["w + 1", "w - 1", "1 + w", "1 - w", "w + tuple", "w - tuple"],
+)
+def test_weight_sum_with_a_non_weight_is_a_type_error(call):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        call(A2.weight((1, 0)))
+
+
+@pytest.mark.parametrize(
+    "call,bad",
+    [(lambda w: w * 1.5, "1.5"), (lambda w: 1.5 * w, "1.5"),
+     (lambda w: w * Fraction(1, 2), "Fraction(1, 2)"), (lambda w: w * "2", "'2'")],
+    ids=["w * float", "float * w", "w * Fraction", "w * str"],
+)
+def test_weight_multiple_names_a_non_integral_scalar(call, bad):
+    with pytest.raises(ValueError, match=f"^scalar {re.escape(bad)} is not an integer$"):
+        call(A2.weight((1, 0)))
 
 
 def test_norm_of_a_g2_weight_in_a2_is_refused():

@@ -11,17 +11,20 @@ is the Verma-quotient view of de Graaf, *Lie Algebras: Theory and
 Algorithms* (2000).  The reduction is `linalg.eliminate` on scaled
 ints: each weight's basis vectors are its pivots, whose tails name
 them, and a candidate's tail carries its scale and its coefficients in
-them, the same rationals as a reduction over Q.  Every module carries
-weight tags, one fc tuple per distinct weight, and sparse generator
-matrices in its own coordinates.  A map is {col: column}, each column
-the ints the construction produced, in one flat tuple (den, row0, n0,
-row1, n1, ...): entry k is n_k / den, den > 0 the one denominator the
-construction keeps per basis vector (for the raising images) or per
-f column, and `linalg.entries` reads the (row, n) pairs after it.  The
-raising maps e_i are written when the module is built and kept once:
-the operator of a simple root vector is the stored map itself.  The
-lowering maps f_i, which only negative root vectors read, are built on
-first use by running the deterministic construction again, and kept.
+them.  A basis vector is the vector whose raising images are its
+primitive pivot row, so the basis is the one a reduction over Q would
+give with each vector rescaled by a positive int, and the raising maps
+are integral.  Every module carries weight tags, one fc tuple per
+distinct weight, and sparse generator matrices in its own coordinates.
+A map is {col: column}, each column the ints the construction
+produced, in one flat tuple (den, row0, n0, row1, n1, ...): entry k is
+n_k / den, den > 0 the one denominator the construction keeps per f
+column, 1 in every e column, and `linalg.entries` reads the (row, n)
+pairs after it.  The raising maps e_i are written when the module is
+built and kept once: the operator of a simple root vector is the
+stored map itself.  The lowering maps f_i, which only negative root
+vectors read, are built on first use by running the deterministic
+construction again, and kept.
 
 Filtration: an algebra element x acts on a vector as the sum of its
 basis terms, each an operator that the module builds once from its
@@ -63,8 +66,9 @@ class ExplicitModule:
     """A concrete module: a weight-tagged basis with sparse column maps
     for the Chevalley generators, each column a flat int tuple (den,
     row0, n0, row1, n1, ...) of the entries n_k / den.  The raising
-    maps come with the module; the lowering maps, which only negative
-    root vectors read, are built on first use."""
+    maps come with the module, integral (every den 1); the lowering
+    maps, which only negative root vectors read, are built on first
+    use."""
 
     def __init__(self, system, highest_weight, weights, e_cols):
         self.system = system
@@ -109,8 +113,8 @@ class ExplicitModule:
         """Basis of the vectors of weight lam killed by the raising
         operators of the parabolic's Levi, as primitive int vectors:
         the unit vectors for the Borel, else `sparse_nullspace` over
-        the weight space's indices in order, each constraint row scaled
-        to ints by the lcm of the dens it reads."""
+        the weight space's indices in order, each constraint row read
+        straight from the integral e maps."""
         if not parabolic.indices:
             return self.weight_space(lam)
         indices = self.weight_index.get(lam.fc, ())
@@ -120,12 +124,8 @@ class ExplicitModule:
                 column = self.e_cols[i].get(idx)
                 if column:
                     for row, n in entries(column):
-                        constraints.setdefault((i, row), {})[idx] = (n, column[0])
-        rows = []
-        for nd in constraints.values():
-            den = lcm(*(d for _, d in nd.values()))
-            rows.append({idx: n * (den // d) for idx, (n, d) in nd.items()})
-        return sparse_nullspace(rows, indices)
+                        constraints.setdefault((i, row), {})[idx] = n
+        return sparse_nullspace(constraints.values(), indices)
 
     # -- generator / element action ------------------------------------
 
@@ -253,6 +253,7 @@ def bk_jump_polynomial(
     if total == 0:
         return FiltrationReport([], QPolynomial.zero())
     terms = _scaled_terms(module, x)
+    limit = module.dim + 1
     dims = []
     current = space
     steps = 0
@@ -269,7 +270,7 @@ def bk_jump_polynomial(
         if not current:
             break
         steps += 1
-        if steps > module.dim + 1:
+        if steps > limit:
             raise ValueError("element is not nilpotent on the module")
     jump = {}
     prev = 0
@@ -319,28 +320,32 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
     weight by weight decides which candidates are new basis vectors and
     expresses the others in them.
 
-    The reduction is `linalg.eliminate`, on ints.  A basis vector's
-    raising images are kept as (den, {j * dim + row: int}), an int key
-    that orders as the pair (j, row) would, and an f_i column as
-    (den, {target: int}).  A candidate's images are summed in one pass
-    over b's images, with S the lcm of the denominators of the f_i
-    columns read so far; when S grows, the partial sum is rescaled.
-    Each weight looks up the pivots of its targets wt b - alpha_i once,
-    on its first candidate f_i.b.  Each weight keeps its linalg pivots
-    {pivot: (R, {index: -r})}: R is a primitive int row with least key
-    the pivot and R[pivot] = r > 0, r times the images of basis vector
-    b = `index`, so its tail counts R as -r times -b.  A candidate v
-    enters as its int images W with the tail {-1: S}, W = S v, and
-    leaves with W = S v - sum X_b b and the tail {-1: S, b: X_b}, up to
-    the positive factor `eliminate` leaves in: each is made primitive
-    once, where it is kept.  A new basis vector's R is W over its gcd,
-    signed so that R[pivot] > 0, and the tail over its gcd is the f_i
-    column (S, X), the same rationals as a reduction over Q.
+    The reduction is `linalg.eliminate`, on ints.  A basis vector b is
+    the vector whose raising images are its pivot row R, a primitive
+    int row {j * dim + row: int}, with an int key that orders as the
+    pair (j, row) would, least key the pivot and R[pivot] > 0; an f_i
+    column is kept as (den, {target: int}).  A candidate's images are
+    summed in one pass over b's images, with S the lcm of the
+    denominators of the f_i columns read so far; when S grows, the
+    partial sum is rescaled.  Each weight looks up the pivots of its
+    targets wt b - alpha_i once, on its first candidate f_i.b.  Each
+    weight keeps its linalg pivots {pivot: (R, {index: -1})}, R the
+    images of basis vector b = `index`, so its tail counts R as -1
+    times -b.  A candidate v enters as its int images W with the tail
+    {-1: S}, W = S v, and leaves with W = S v - sum X_b b and the tail
+    {-1: S, b: X_b}, up to the positive factor `eliminate` leaves in:
+    each is made primitive once, where it is kept.  A new basis
+    vector's R is W over g, its gcd signed so that R[pivot] > 0, so
+    W = g b' for the new vector b', and the tail with b': g, over its
+    gcd, is the f_i column (S, X).  The basis is the one a reduction
+    over Q gives with each pivot entry 1, each vector scaled by a
+    positive int.
 
-    Returns the weights, the raising images and the f_i columns, all in
+    Returns the weights, the raising rows and the f_i columns, all in
     ints; `build_irrep` writes the module's e maps from the raising
-    images, decoding each key with divmod, and `ExplicitModule.f_cols`
-    the f maps from the columns, each map column led by its den."""
+    rows, decoding each key with divmod, each column with den 1, and
+    `ExplicitModule.f_cols` the f maps from the columns, each map
+    column led by its den."""
     rank = system.rank
     alpha_fc = [alpha.fc for alpha in system.simple_roots]
     # weight fc -> its pivots; the key is the one fc tuple every basis
@@ -350,17 +355,17 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
     # looked up on the first candidate f_i.b of that weight
     below: dict = {}
     weights: list = [mu.fc]
-    raising: list = [(1, {})]
+    raising: list = [{}]
     lowering: list = [dict() for _ in range(rank)]
     cursor = 0
     while cursor < len(weights):
         fc = weights[cursor]
-        den, images = raising[cursor]
+        images = raising[cursor]
         targets = below.setdefault(fc, [None] * rank)
         for i in range(rank):
             f_i = lowering[i]
             scale = 1
-            image: dict = {i * dim + cursor: fc[i] * den} if fc[i] else {}
+            image: dict = {i * dim + cursor: fc[i]} if fc[i] else {}
             for key, c in images.items():
                 row = key % dim
                 column = f_i.get(row)
@@ -389,7 +394,7 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
                 t = tuple(map(sub, fc, alpha_fc[i]))
                 slot = targets[i] = echelons.setdefault(t, (t, {}))
             target_fc, rows = slot
-            image, tail = eliminate(image, {-1: scale * den}, rows)
+            image, tail = eliminate(image, {-1: scale}, rows)
             if image:
                 new_idx = len(weights)
                 if new_idx == dim:
@@ -399,10 +404,10 @@ def _lower_from_highest(system: RootSystem, mu: Weight, dim: int) -> tuple:
                 if image[p] < 0:
                     g = -g
                 pivot_row = {k: v // g for k, v in image.items()}
-                rows[p] = (pivot_row, {new_idx: -pivot_row[p]})
+                rows[p] = (pivot_row, {new_idx: -1})
                 weights.append(target_fc)
-                raising.append((pivot_row[p], pivot_row))
-                tail[new_idx] = image[p]
+                raising.append(pivot_row)
+                tail[new_idx] = g
             scale = tail.pop(-1)
             g = gcd(scale, *tail.values())
             if g > 1:
@@ -441,11 +446,11 @@ def build_irrep(system: RootSystem, mu: Weight) -> ExplicitModule:
         e_cols: list = [dict() for _ in range(system.rank)]
         # columns are short (about 1.3 entries), so each grows by
         # concatenation, which is cheaper than grouping rows first
-        for idx, (den, images) in enumerate(raising):
+        for idx, images in enumerate(raising):
             for key, v in images.items():
                 j, row = divmod(key, dim)
                 cols = e_cols[j]
-                cols[idx] = cols.get(idx, (den,)) + (row, v)
+                cols[idx] = cols.get(idx, (1,)) + (row, v)
         module = system._irreps[mu.fc] = ExplicitModule(system, mu, weights, e_cols)
     return module
 

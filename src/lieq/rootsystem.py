@@ -525,7 +525,10 @@ class RootSystem:
         return self.inner(a, a)
 
     def pair(self, weight: Weight, root: Root) -> int:
-        """Coroot pairing <weight, root^vee>."""
+        """Coroot pairing <weight, root^vee>; a weight of another root
+        system is refused."""
+        if weight.system is not self:
+            self.require_same(weight.system)
         return sum(map(mul, root.coroot_fc, weight.fc))
 
     def is_regular(self, weight: Weight) -> bool:

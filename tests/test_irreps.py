@@ -256,11 +256,11 @@ def test_apply_element_is_a_representation_on_samples():
 # sha256 prefix of every basis operator on the module, as
 # [[(col, sorted (row, str(v))) for each nonzero column] per basis element]
 OPERATOR_DIGESTS = [
-    (("A", 3), (1, 0, 1), "779cbd6a6bcd"),
-    (("B", 2), (1, 1), "68de94383526"),
+    (("A", 3), (1, 0, 1), "999e089a0103"),
+    (("B", 2), (1, 1), "e5dde6fa05cb"),
     (("C", 3), (1, 0, 0), "2fac7fb9305a"),
     (("G2", 2), (1, 0), "296225a4099b"),
-    (("F4", 4), (0, 0, 0, 1), "4193522a9929"),
+    (("F4", 4), (0, 0, 0, 1), "533dc77e741a"),
 ]
 
 
@@ -286,12 +286,12 @@ def test_basis_operators_are_pinned(key, fc, digest):
 # entries v = Fraction(n, den) read from each flat (den, row0, n0, row1,
 # n1, ...) column
 CONSTRUCTION_DIGESTS = [
-    (("A", 4), 36, "46addb839848"),
-    (("B", 3), 15, "3e84215359a2"),
-    (("C", 3), 13, "5d308e722bc7"),
-    (("D", 4), 17, "16b162383bdd"),
-    (("G2", 2), 9, "81d1d760479c"),
-    (("F4", 4), 3, "8b9de503396e"),
+    (("A", 4), 36, "75735611e10f"),
+    (("B", 3), 15, "c518e8e61ff9"),
+    (("C", 3), 13, "320b5ede4029"),
+    (("D", 4), 17, "49d4987fb7f0"),
+    (("G2", 2), 9, "28b9b548d5c2"),
+    (("F4", 4), 3, "61f6c1616a22"),
 ]
 
 
@@ -315,6 +315,25 @@ def test_construction_is_pinned(key, count, digest):
         ])
     assert len(modules) == count
     assert hashlib.sha256(json.dumps(modules).encode()).hexdigest()[:12] == digest
+
+
+def test_each_basis_vector_is_its_primitive_raising_row():
+    # every module of dim <= 200 in module-build's six systems: each e
+    # column has den 1, and a basis vector's raising images, read across
+    # all i, are a primitive int row, positive at its least (i, row) key
+    for key in [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4)]:
+        system = build_root_system(*key)
+        for mu in dominant_weights_with_dim_bound(system, 200):
+            module = build_irrep(system, mu)
+            rows = [{} for _ in range(module.dim)]
+            for i, e_i in enumerate(module.e_cols):
+                for col, column in e_i.items():
+                    assert column[0] == 1, (key, mu.fc, i, col)
+                    for row, n in zip(column[1::2], column[2::2]):
+                        rows[col][i, row] = n
+            assert rows[0] == {}
+            for row in rows[1:]:
+                assert math.gcd(*row.values()) == 1 and row[min(row)] > 0, (key, mu.fc)
 
 
 def test_simple_root_operators_are_the_stored_maps():

@@ -185,6 +185,7 @@ def test_inner_product_weyl_invariance_sampled(key):
 
 A2, B2, G2 = (build_root_system(*key) for key in [("A", 2), ("B", 2), ("G2", 2)])
 MIXED_CALLS = {
+    "pair": lambda: A2.pair(B2.rho, A2.positive_roots[-1]),
     "inner": lambda: A2.inner(A2.rho, B2.rho),
     "inner of two foreign weights": lambda: A2.inner(B2.rho, B2.rho),
     "norm_sq": lambda: A2.norm_sq(B2.rho),
